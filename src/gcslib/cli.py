@@ -424,8 +424,9 @@ def cmd_drive(args):
     pulse = _build_pulse(args)
     omega = args.omega
     z1 = drive.zeta(pulse, omega, pulse.t1)
+    b1 = drive.beta_phase(pulse, omega, pulse.t1)
     dim = args.dim or max(fock.min_dim(z1, args.n), 40)
-    vec, label = drive.drive_number_state(args.n, pulse, omega, dim)
+    vec, label = drive._driven_state(args.n, pulse, omega, dim, z1, b1)
 
     hamiltonian = drive.drive_hamiltonian(pulse, omega, dim)
     start = fock.number_state(args.n, dim)
@@ -439,7 +440,7 @@ def cmd_drive(args):
         "omega": omega,
         "n": args.n,
         "zeta": _complex_pair(z1),
-        "beta": drive.beta_phase(pulse, omega, pulse.t1),
+        "beta": b1,
         "alpha_pred": _complex_pair(label.alpha),
         "steps": args.steps,
         "fidelity_analytic_vs_numeric": fidelity,

@@ -100,6 +100,12 @@ def table_pulse(times, values):
     values = np.asarray(values, dtype=np.float64)
     if times.ndim != 1 or times.shape != values.shape or times.size < 2:
         raise ValueError("need matching 1-d times/values with at least 2 samples")
+    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"pulse table sample {i} is not finite (t={times[i]}, f={values[i]})"
+        )
     steps = np.diff(times)
     if np.any(steps <= 0):
         raise ValueError("times must be strictly increasing")
@@ -200,22 +206,23 @@ def position_matrix(omega, dim):
 
 
 def drive_hamiltonian(pulse, omega, dim):
-    """Callable t -> H0 + f(t) x for direct Schrodinger integration."""
-    x = position_matrix(omega, dim)
-    h0 = np.diag((np.arange(dim) + 0.5) * omega).astype(complex)
+    """H0 + f(t) x for direct Schrodinger integration.
 
-    def hamiltonian(t):
-        return h0 + float(pulse(t)) * x
+    A fock.TridiagonalHamiltonian: called with t it gives the dense matrix;
+    its bands are (k + 1/2) omega and f(t) sqrt(k + 1)/sqrt(2 omega), which
+    fock._propagate integrates without forming it.
+    """
+    return fock.TridiagonalHamiltonian(
+        (np.arange(dim) + 0.5) * omega,
+        np.sqrt(np.arange(1.0, dim)) / math.sqrt(2.0 * omega),
+        pulse,
+    )
 
-    return hamiltonian
 
-
-def _development(pulse, omega, dim):
-    z1 = zeta(pulse, omega, pulse.t1)
-    b1 = beta_phase(pulse, omega, pulse.t1)
+def _development(pulse, omega, dim, z1, b1):
     disp = fock.displacement_matrix(z1 * np.exp(-1j * omega * pulse.t1), dim)
     free = np.exp(-1j * (np.arange(dim) + 0.5) * omega * (pulse.t1 - pulse.t0))
-    return np.exp(1j * b1) * (disp * free[None, :]), z1, b1
+    return np.exp(1j * b1) * (disp * free[None, :])
 
 
 def time_development(pulse, omega, dim):
@@ -223,7 +230,15 @@ def time_development(pulse, omega, dim):
 
     dim must be tail-safe for |zeta| (TruncationError otherwise).
     """
-    return _development(pulse, omega, dim)[0]
+    z1 = zeta(pulse, omega, pulse.t1)
+    return _development(pulse, omega, dim, z1, beta_phase(pulse, omega, pulse.t1))
+
+
+def _check_level(n, dim):
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if not n < dim / 2:
+        raise fock.TruncationError(f"n={n} too close to the truncation edge dim={dim}")
 
 
 def drive_number_state(n, pulse, omega, dim):
@@ -234,10 +249,13 @@ def drive_number_state(n, pulse, omega, dim):
     e^{-i(k+1/2) w t1} phases, and they agree with the returned vector up to
     a global phase.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if not n < dim / 2:
-        raise fock.TruncationError(f"n={n} too close to the truncation edge dim={dim}")
-    op, z1, _ = _development(pulse, omega, dim)
-    vec = fock.FockVector(op[:, n].copy(), omega)
-    return vec, GcsLabel(n, z1, omega)
+    _check_level(n, dim)
+    z1 = zeta(pulse, omega, pulse.t1)
+    return _driven_state(n, pulse, omega, dim, z1, beta_phase(pulse, omega, pulse.t1))
+
+
+def _driven_state(n, pulse, omega, dim, z1, b1):
+    # drive_number_state for a caller that already holds zeta(t1) and beta(t1)
+    _check_level(n, dim)
+    op = _development(pulse, omega, dim, z1, b1)
+    return fock.FockVector(op[:, n].copy(), omega), GcsLabel(n, z1, omega)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
 
 
 class TruncationError(Exception):
@@ -118,14 +119,66 @@ def expectation(op, vec, tail_tol=1e-10):
     return complex(np.vdot(c, op @ c) / np.vdot(c, c))
 
 
+@dataclass(frozen=True)
+class TridiagonalHamiltonian:
+    """Real symmetric tridiagonal H(t): diag on the diagonal, force(t) * off beside it.
+
+    Called with t it returns the dense complex matrix, like any Hamiltonian
+    callable.  _propagate works on the bands instead: it samples force (a
+    vectorised t -> f(t)) once at every midpoint and diagonalises each step
+    with LAPACK's real tridiagonal dstevd.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    force: object
+
+    def __post_init__(self):
+        diag = np.asarray(self.diag, dtype=np.float64)
+        off = np.asarray(self.off, dtype=np.float64)
+        if diag.ndim != 1 or diag.size < 2 or off.shape != (diag.size - 1,):
+            raise ValueError(
+                f"need bands of sizes (dim, dim - 1), got {diag.shape}, {off.shape}"
+            )
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise ValueError("hamiltonian bands must be finite")
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "off", off)
+
+    def __call__(self, t):
+        f = float(self.force(t))
+        h = np.diag(self.diag) + np.diag(f * self.off, 1) + np.diag(f * self.off, -1)
+        return h.astype(complex)
+
+
+def _propagate_bands(hamiltonian, block, t0, dt, steps):
+    mids = t0 + (np.arange(steps) + 0.5) * dt
+    forces = np.asarray(hamiltonian.force(mids), dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(forces))
+    if bad.size:
+        raise ValueError(
+            f"force at t={mids[bad[0]]:.6g} is {forces[bad[0]]} "
+            f"({bad.size} of {steps} midpoints not finite)"
+        )
+    for f in forces:
+        evals, evecs, info = dstevd(hamiltonian.diag, f * hamiltonian.off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
+        block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
+    return block
+
+
 def _propagate(hamiltonian, block, t0, t1, steps):
     # exponential midpoint rule: each step applies expm(-i H(t_mid) dt)
     # through an eigendecomposition, so every step is exactly unitary up to
-    # the Hermitian eigensolver's roundoff.
+    # the Hermitian eigensolver's roundoff.  A TridiagonalHamiltonian takes
+    # the real banded eigensolver; any other callable the dense one.
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     dt = (t1 - t0) / steps
     block = np.asarray(block, complex).copy()
+    if isinstance(hamiltonian, TridiagonalHamiltonian):
+        return _propagate_bands(hamiltonian, block, t0, dt, steps)
     for i in range(steps):
         h = np.asarray(hamiltonian(t0 + (i + 0.5) * dt))
         skew = float(np.max(np.abs(h - h.conj().T)))
@@ -142,9 +195,10 @@ def _propagate(hamiltonian, block, t0, t1, steps):
 def schrodinger_evolve(hamiltonian, vec, t0, t1, steps):
     """Integrate i d|v>/dt = H(t)|v> from t0 to t1 with a midpoint exponential.
 
-    hamiltonian is a callable t -> (dim, dim) Hermitian ndarray.  Raises if a
-    sampled H fails a 1e-10 Hermiticity check or if the final norm drifts
-    from the initial one by more than 1e-8.
+    hamiltonian is a callable t -> (dim, dim) Hermitian ndarray, or a
+    TridiagonalHamiltonian, which is integrated on its bands.  Raises if a
+    sampled H fails a 1e-10 Hermiticity check (a non-finite force for the
+    bands), or if the final norm drifts from the initial one by more than 1e-8.
     """
     out = _propagate(hamiltonian, vec.coeffs[:, None], t0, t1, steps)[:, 0]
     drift = abs(float(np.linalg.norm(out)) - vec.norm())

@@ -250,7 +250,10 @@ def photon_distribution(n, alpha, k_max):
         if hi.size:
             d_hi = hi - n
             lag = laguerre_table(n, d_hi, z)
-            probs[n:] = np.exp(2.0 * _log_weight(n, d_hi, z)) * lag * lag
+            # square the amplitude, not the Laguerre value: lag alone reaches
+            # 1e212 at large n and |alpha|, and lag * lag would overflow
+            amp = np.exp(_log_weight(n, d_hi, z)) * lag
+            probs[n:] = amp * amp
         for k in range(min(n, k_max + 1)):
             probs[k] = photon_probability(n, alpha, k)
     return PhotonDistribution(probs, n, alpha)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gcslib import cli, states
+from gcslib import cli, drive, states
 
 TAU = 2.0 * math.pi
 
@@ -226,6 +226,38 @@ def test_drive_table_pulse(tmp_path, capsys):
     assert rep["pulse"]["name"] == "table"
     assert rep["pulse"]["samples"] == 21
     assert rep["fidelity_analytic_vs_numeric"] > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("extra", [[], ["--dim", "40"]])
+def test_drive_table_rejects_non_finite_force(tmp_path, capsys, extra):
+    table = tmp_path / "force.csv"
+    table.write_text("t,f\n0,0\n1,0.5\n2,nan\n3,0.1\n4,0\n", encoding="utf-8")
+    code = cli.main(
+        ["drive", "--table", str(table), "--steps", "50", "--out", str(tmp_path / "o"), *extra]
+    )
+    assert code == 1
+    assert "sample 2 is not finite" in capsys.readouterr().err
+
+
+def test_drive_computes_zeta_and_beta_once(tmp_path, capsys, monkeypatch):
+    calls = {"zeta": 0, "beta_phase": 0}
+    for name in calls:
+        real = getattr(drive, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(drive, name, counted)
+    code = cli.main(
+        ["drive", "--n", "1", "--steps", "100", "--t1", "2.0",
+         "--center", "1.0", "--width", "0.3", "--out", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert calls == {"zeta": 1, "beta_phase": 1}
+    rep = json.loads(capsys.readouterr().out)
+    pulse = drive.gaussian_pulse(0.8, 1.0, 0.3, 0.0, 2.0)
+    assert rep["beta"] == drive.beta_phase(pulse, 1.0, 2.0)
 
 
 def test_usage_errors_exit_one(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gcslib import drive, fock, states
+from gcslib import drive, fock, states, verify
 
 import oracles
 
@@ -73,6 +73,19 @@ def test_table_pulse_validation():
         drive.table_pulse([0.0, -1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         drive.table_pulse([0.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf]),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 1.0]),
+    ],
+)
+def test_table_pulse_rejects_non_finite(times, values):
+    with pytest.raises(ValueError, match="not finite"):
+        drive.table_pulse(times, values)
 
 
 def test_zeta_zero_force():
@@ -225,3 +238,40 @@ def test_drive_rejects_cramped_level():
         drive.drive_number_state(10, pulse, 1.0, 20)
     with pytest.raises(ValueError):
         drive.drive_number_state(-1, pulse, 1.0, 20)
+
+
+def test_drive_hamiltonian_bands_build_the_dense_matrix():
+    pulse = drive.gaussian_pulse(0.8, 2.5, 0.5, 0.0, 5.0)
+    omega, dim = 1.3, 30
+    ham = drive.drive_hamiltonian(pulse, omega, dim)
+    assert_allclose(ham.diag, (np.arange(dim) + 0.5) * omega, rtol=0, atol=0)
+    assert_allclose(ham.off, np.sqrt(np.arange(1, dim) / (2.0 * omega)), rtol=1e-15)
+    x = drive.position_matrix(omega, dim)
+    for t in (0.0, 2.2, 2.5, 5.0):
+        dense = np.diag((np.arange(dim) + 0.5) * omega) + pulse(t) * x
+        assert_allclose(ham(t), dense, rtol=1e-15, atol=0)
+
+
+def _band_pulses():
+    ts = np.linspace(0.0, 4.0, 17)
+    return verify._registry_pulses() + (drive.table_pulse(ts, 0.6 * np.sin(1.3 * ts) * ts),)
+
+
+@pytest.mark.parametrize("pulse", _band_pulses(), ids=lambda p: p.name)
+def test_band_propagation_matches_dense_path(pulse):
+    dim, steps = 60, 400
+    ham = drive.drive_hamiltonian(pulse, 1.0, dim)
+    block = np.eye(dim, dtype=complex)[:, :3]
+    banded = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
+    dense = fock._propagate(lambda t: ham(t), block, pulse.t0, pulse.t1, steps)
+    assert np.max(np.abs(banded - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_band_propagation_rejects_non_finite_force(bad):
+    pulse = drive.DrivePulse(
+        "bad", 0.0, 4.0, ((0.0, 4.0, lambda t: np.where(t > 2.0, bad, 0.5)),)
+    )
+    ham = drive.drive_hamiltonian(pulse, 1.0, 20)
+    with pytest.raises(ValueError, match="not finite"):
+        fock.schrodinger_evolve(ham, fock.number_state(1, 20), 0.0, 4.0, 100)

@@ -192,3 +192,11 @@ def test_evolve_rejects_bad_steps():
     _, _, num = fock.ladder_matrices(4)
     with pytest.raises(ValueError):
         fock.schrodinger_evolve(lambda t: num, fock.number_state(0, 4), 0.0, 1.0, 0)
+
+
+def test_tridiagonal_hamiltonian_validation():
+    with pytest.raises(ValueError):
+        fock.TridiagonalHamiltonian(np.ones(4), np.ones(4), lambda t: 0.0 * t)
+    with pytest.raises(ValueError):
+        fock.TridiagonalHamiltonian(np.array([0.5, np.inf]), np.ones(1), lambda t: 0.0 * t)
+

@@ -224,6 +224,16 @@ def test_photon_distribution_mass_and_mean():
     assert_allclose(dist.mean(), states.mean_photon(2, 1.5), atol=1e-10)
 
 
+def test_photon_distribution_keeps_mass_at_large_amplitude():
+    # L_150^k(900) reaches 4.5e212 here; squaring it alone would overflow
+    n, alpha, k_max = 150, 30.0, 2500
+    probs = states.photon_distribution(n, alpha, k_max).probs
+    assert abs(np.sum(probs) - 1.0) < 1e-10
+    expected = np.abs(states.number_expansion(n, alpha, k_max)) ** 2
+    assert np.max(np.abs(probs - expected)) < 1e-12 * np.max(expected)
+    assert np.all(probs[1700:1800] > 0.0)
+
+
 def test_photon_distribution_validation():
     with pytest.raises(ValueError):
         states.photon_distribution(2, 1.0, -1)
