@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, beamsplitter, drive, fock, kernels, specfun, states, verify
+from . import __version__, beamsplitter, drive, fock, specfun, states, verify
 
 ENV_OUT = "GCS_OUT"
 _CONFIG_KEYS = ("dim", "tol", "grid", "out")
@@ -145,7 +145,7 @@ def _manifest(out_dir, command, params, dim=None, tail_mass=None, tolerances=Non
         "command": command,
         "parameters": params,
         "library_version": __version__,
-        "backend": kernels.BACKEND,
+        "backend": "numpy",
         "truncation_dimension": dim,
         "tail_mass": tail_mass,
         "tolerances": tolerances or {},

@@ -142,7 +142,8 @@ def zeta(pulse, omega, t):
     """-(i/sqrt(2 omega)) * integral of f(s) e^{i omega s} from t0 to t.
 
     Adaptive quadrature per smooth piece, absolute tolerance 1e-10 overall;
-    raises QuadratureError with the achieved error estimate on failure.
+    raises QuadratureError with the achieved error estimate on failure, and
+    when the integral or the estimate is not finite.
     """
     _check_time(pulse, t)
     total = 0.0 + 0.0j
@@ -161,7 +162,9 @@ def zeta(pulse, omega, t):
         )
         total += re + 1j * im
         err += err_re + err_im
-    if err > 1e-10:
+    if not np.isfinite(total):
+        raise QuadratureError(f"zeta quadrature gave a non-finite integral {total}")
+    if not err <= 1e-10:  # a NaN estimate fails here too
         raise QuadratureError(f"zeta quadrature error estimate {err:.3e} > 1e-10")
     return -1j / math.sqrt(2.0 * omega) * total
 

@@ -1,137 +1,35 @@
-"""Hot numeric kernels: numba jit fast path with a pure-numpy fallback.
+"""Hot numeric kernels: three-term recurrences vectorized in NumPy.
 
-The backend is fixed at import time.  Set GCSLIB_BACKEND=numpy to force the
-fallback, GCSLIB_BACKEND=numba to require the jit path (an error if numba is
-not importable).  Unset, the jit path is used whenever numba imports.
-
-Both paths evaluate the same recurrences in the same operation order, so
-their results agree bit for bit; benchmarks/bench_kernels.py times them
-against each other.
+Each recurrence step is one array operation over every point (or every
+upper index) at once, so the Python loop runs over the degree only.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-_requested = os.environ.get("GCSLIB_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        "GCSLIB_BACKEND must be 'numba' or 'numpy', got %r" % _requested
-    )
-if _requested == "numba" and not HAS_NUMBA:
-    raise RuntimeError("GCSLIB_BACKEND=numba but numba is not importable")
-
-BACKEND = _requested or ("numba" if HAS_NUMBA else "numpy")
-
-
-def hermite_functions_numpy(n, omega, y):
-    """Normalized oscillator eigenfunction phi_n evaluated on a flat array.
+def hermite_functions(n, omega, y):
+    """Normalized oscillator eigenfunction phi_n(y) for scalar or any-shape y.
 
     Three-term recurrence on the normalized functions; the Gaussian and the
     1/sqrt(2^n n!) factor ride along, so nothing overflows for n <= 200.
     """
-    p0 = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * y * y)
-    if n == 0:
-        return p0
-    p1 = np.sqrt(2.0 * omega) * y * p0
+    arr = np.asarray(y, dtype=np.float64)
+    x = arr.reshape(-1)
+    p0 = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * x * x)
+    p1 = np.sqrt(2.0 * omega) * x * p0 if n else p0
     for k in range(1, n):
-        p2 = np.sqrt(2.0 * omega / (k + 1.0)) * y * p1 - np.sqrt(k / (k + 1.0)) * p0
-        p0 = p1
-        p1 = p2
-    return p1
+        p0, p1 = p1, np.sqrt(2.0 * omega / (k + 1.0)) * x * p1 - np.sqrt(k / (k + 1.0)) * p0
+    res = p1.reshape(arr.shape)
+    return float(res) if arr.ndim == 0 else res
 
 
-def laguerre_table_numpy(s, d, z):
-    """Generalized Laguerre L_s^{d_i}(z), fixed degree s, array of upper indices."""
+def laguerre_table(s, d, z):
+    """Generalized Laguerre L_s^{d_i}(z): fixed degree s over an array d of upper indices."""
+    d = np.asarray(d, dtype=np.float64).reshape(-1)
     L0 = np.ones_like(d)
     if s == 0:
         return L0
     L1 = 1.0 + d - z
     for j in range(1, s):
-        L2 = ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
-        L0 = L1
-        L1 = L2
+        L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
     return L1
-
-
-def _hermite_loop(n, omega, y, out):
-    c0 = (omega / np.pi) ** 0.25
-    # hoisted recurrence coefficients; same values and op order as the
-    # numpy path, so results stay bit-identical
-    up = np.empty(max(n, 1))
-    down = np.empty(max(n, 1))
-    up[0] = np.sqrt(2.0 * omega)
-    for k in range(1, n):
-        up[k] = np.sqrt(2.0 * omega / (k + 1.0))
-        down[k] = np.sqrt(k / (k + 1.0))
-    for i in range(y.shape[0]):
-        p0 = c0 * np.exp(-0.5 * omega * y[i] * y[i])
-        if n == 0:
-            out[i] = p0
-            continue
-        p1 = up[0] * y[i] * p0
-        for k in range(1, n):
-            p2 = up[k] * y[i] * p1 - down[k] * p0
-            p0 = p1
-            p1 = p2
-        out[i] = p1
-    return out
-
-
-def _laguerre_loop(s, d, z, out):
-    for i in range(d.shape[0]):
-        L0 = 1.0
-        if s == 0:
-            out[i] = L0
-            continue
-        L1 = 1.0 + d[i] - z
-        for j in range(1, s):
-            L2 = ((2.0 * j + 1.0 + d[i] - z) * L1 - (j + d[i]) * L0) / (j + 1.0)
-            L0 = L1
-            L1 = L2
-        out[i] = L1
-    return out
-
-
-if HAS_NUMBA:
-    _hermite_jit = njit(cache=True)(_hermite_loop)
-    _laguerre_jit = njit(cache=True)(_laguerre_loop)
-
-    def hermite_functions_numba(n, omega, y):
-        out = np.empty_like(y)
-        return _hermite_jit(n, float(omega), y, out)
-
-    def laguerre_table_numba(s, d, z):
-        out = np.empty_like(d)
-        return _laguerre_jit(s, d, float(z), out)
-
-else:
-    hermite_functions_numba = None
-    laguerre_table_numba = None
-
-
-def hermite_functions(n, omega, y):
-    """phi_n(y) for scalar or any-shape y, using the selected backend."""
-    arr = np.asarray(y, dtype=np.float64)
-    flat = np.ascontiguousarray(arr.reshape(-1))
-    if BACKEND == "numba":
-        res = hermite_functions_numba(n, omega, flat)
-    else:
-        res = hermite_functions_numpy(n, omega, flat)
-    res = res.reshape(arr.shape)
-    return float(res) if arr.ndim == 0 else res
-
-
-def laguerre_table(s, d, z):
-    """L_s^{d_i}(z) over an integer array d of upper indices (selected backend)."""
-    d = np.ascontiguousarray(np.asarray(d, dtype=np.float64).reshape(-1))
-    if BACKEND == "numba":
-        return laguerre_table_numba(s, d, z)
-    return laguerre_table_numpy(s, d, z)

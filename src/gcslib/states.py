@@ -64,9 +64,18 @@ class SpatialGrid:
         return np.linspace(self.x_min, self.x_max, self.points)
 
 
+def _half_width(label):
+    # displacement amplitude plus the n-state's classical turning point
+    # sqrt(2n+1) and 7 more widths, in units of the ground-state width
+    # 1/sqrt(omega); at n = 0 this is the n-blind 8 widths exactly
+    return math.sqrt(2.0 / label.omega) * label.alpha_mag + (
+        math.sqrt(2 * label.n + 1) + 7.0
+    ) / math.sqrt(label.omega)
+
+
 def default_grid(label, points=2048, k=None):
-    """Grid spanning the classical turning points plus 8 ground-state widths."""
-    half = math.sqrt(2.0 / label.omega) * label.alpha_mag + 8.0 / math.sqrt(label.omega)
+    """Grid spanning the displaced n-state's turning points plus 7 widths."""
+    half = _half_width(label)
     return SpatialGrid(-half, half, points, k)
 
 
@@ -126,7 +135,7 @@ def orthonormality_check(n, m, alpha, dim=None):
 
 
 def _log_weight(s, d, z):
-    # ln of sqrt(s!/(s+d)!) e^{-z/2} z^{d/2}, vectorized over integer array d
+    # ln of sqrt(s!/(s+d)!) e^{-z/2} z^{d/2}, vectorized over integer s and d
     lg = np.vectorize(specfun.log_factorial, otypes=[np.float64])
     out = 0.5 * (lg(s) - lg(s + d)) - 0.5 * z
     pos = d > 0
@@ -135,34 +144,48 @@ def _log_weight(s, d, z):
     return out
 
 
+def _amplitudes(n, z, k_max):
+    """Signed real amplitudes a_0..a_{k_max} of |n, alpha>, z = |alpha|^2.
+
+    a_k = sqrt(s!/(s+d)!) e^{-z/2} z^{d/2} L_s^d(z) with s = min(n, k) and
+    d = |n - k|, so P_k = a_k^2 and c_k = a_k e^{i d theta}.  The weight is
+    taken in log space so the k ~ 100 regime neither over- nor underflows;
+    k >= n comes from one Laguerre table, the few k < n one at a time
+    through math.exp, which rounds some of them differently from np.exp.
+    """
+    a = np.zeros(k_max + 1)
+    if z == 0.0:
+        if n <= k_max:
+            a[n] = 1.0
+        return a
+    if n:
+        lo = np.arange(min(n, k_max + 1))
+        for k, lw in zip(lo, _log_weight(lo, n - lo, z)):
+            a[k] = math.exp(lw) * specfun.laguerre_assoc(k, n - k, z)
+    if k_max >= n:
+        d = np.arange(k_max - n + 1)
+        a[n:] = np.exp(_log_weight(n, d, z)) * laguerre_table(n, d, z)
+    return a
+
+
 def number_expansion(n, alpha, k_max):
     """Number-basis coefficients c_0..c_{k_max} of |n, alpha> at t = 0.
 
     c_k = sqrt(n!/k!) e^{-|a|^2/2} a^{k-n} L_n^{k-n}(|a|^2) for k >= n and the
-    mirrored form with a -> -conj(a) below n; evaluated in log space so the
-    k ~ 100 regime neither over- nor underflows.  Raises TruncationError when
-    the captured mass falls below 1 - 1e-10.
+    mirrored form with a -> -conj(a) below n: the real amplitude a_k times
+    e^{i d theta}, theta = arg(a) at k >= n and arg(-conj(a)) below.  Raises
+    TruncationError when the captured mass falls below 1 - 1e-10.
     """
     if not isinstance(k_max, (int, np.integer)) or k_max < n:
         raise ValueError(f"k_max must be an integer >= n, got {k_max!r}")
     alpha = complex(alpha)
     z = abs(alpha) ** 2
-    coeffs = np.zeros(k_max + 1, dtype=complex)
-    if z == 0.0:
-        coeffs[n] = 1.0
-    else:
-        d_hi = np.arange(0, k_max - n + 1)
-        lag_hi = laguerre_table(n, d_hi, z)
-        mag = np.exp(_log_weight(n, d_hi, z)) * np.abs(lag_hi)
-        ph = np.exp(1j * d_hi * cmath.phase(alpha)) * np.sign(lag_hi)
-        coeffs[n:] = mag * ph
+    a = _amplitudes(n, z, k_max)
+    coeffs = a.astype(complex)
+    if z != 0.0:
+        coeffs[n:] = a[n:] * np.exp(1j * np.arange(k_max - n + 1) * cmath.phase(alpha))
         for k in range(n):
-            d = n - k
-            lag = specfun.laguerre_assoc(k, d, z)
-            mag = math.exp(float(_log_weight(k, np.array([d]), z)[0])) * abs(lag)
-            coeffs[k] = mag * cmath.exp(1j * d * cmath.phase(-alpha.conjugate())) * (
-                1.0 if lag >= 0 else -1.0
-            )
+            coeffs[k] = a[k] * cmath.exp(1j * (n - k) * cmath.phase(-alpha.conjugate()))
     mass = float(np.sum(np.abs(coeffs) ** 2))
     if mass < 1.0 - 1e-10:
         raise fock.TruncationError(
@@ -213,50 +236,28 @@ class PhotonDistribution:
 def photon_probability(n, alpha, k):
     """P_k = probability of k photons in |n, alpha>.
 
-    Symmetric log-space form with s = min(n, k), d = |n - k|:
-    P_k = (s!/(s+d)!) e^{-|a|^2} |a|^{2d} [L_s^d(|a|^2)]^2.
+    Symmetric form with s = min(n, k), d = |n - k|:
+    P_k = (s!/(s+d)!) e^{-|a|^2} |a|^{2d} [L_s^d(|a|^2)]^2, the square of
+    the same amplitude photon_distribution squares, so the two agree bit for
+    bit; it costs as much as photon_distribution(n, alpha, k).
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    z = abs(complex(alpha)) ** 2
-    if z == 0.0:
-        return 1.0 if k == n else 0.0
-    s, d = min(n, k), abs(n - k)
-    lag = specfun.laguerre_assoc(s, d, z)
-    if lag == 0.0:
-        return 0.0
-    logp = (
-        specfun.log_factorial(s)
-        - specfun.log_factorial(s + d)
-        - z
-        + d * math.log(z)
-        + 2.0 * math.log(abs(lag))
-    )
-    return math.exp(logp)
+    amp = _amplitudes(n, abs(complex(alpha)) ** 2, k)[k]
+    return float(amp * amp)
 
 
 def photon_distribution(n, alpha, k_max):
-    """P_0..P_{k_max} for |n, alpha|, vectorized over the k >= n branch."""
+    """P_0..P_{k_max} for |n, alpha>: the squared amplitudes.
+
+    Squaring the amplitude rather than the Laguerre value keeps large n and
+    |alpha| finite: L alone reaches 1e212 there, and L * L would overflow.
+    """
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     alpha = complex(alpha)
-    z = abs(alpha) ** 2
-    probs = np.zeros(k_max + 1)
-    if z == 0.0:
-        if n <= k_max:
-            probs[n] = 1.0
-    else:
-        hi = np.arange(n, k_max + 1)
-        if hi.size:
-            d_hi = hi - n
-            lag = laguerre_table(n, d_hi, z)
-            # square the amplitude, not the Laguerre value: lag alone reaches
-            # 1e212 at large n and |alpha|, and lag * lag would overflow
-            amp = np.exp(_log_weight(n, d_hi, z)) * lag
-            probs[n:] = amp * amp
-        for k in range(min(n, k_max + 1)):
-            probs[k] = photon_probability(n, alpha, k)
-    return PhotonDistribution(probs, n, alpha)
+    a = _amplitudes(n, abs(alpha) ** 2, k_max)
+    return PhotonDistribution(a * a, n, alpha)
 
 
 def mean_photon(n, alpha):
@@ -358,7 +359,7 @@ def field_center(label, chi):
 
 def default_field_axis(label, points=2048):
     """Field-value axis wide enough for every band at every phase."""
-    half = math.sqrt(2.0 / label.omega) * label.alpha_mag + 8.0 / math.sqrt(label.omega)
+    half = _half_width(label)
     return np.linspace(-half, half, points)
 
 

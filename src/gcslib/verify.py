@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from . import beamsplitter, drive, fock, kernels, specfun, states
+from . import beamsplitter, drive, fock, specfun, states
 
 
 @dataclass(frozen=True)
@@ -85,31 +85,6 @@ def suite_specfun():
         odd = specfun.eigenfunction(n, 1.0, -x)
         res = max(res, float(np.max(np.abs(odd - (-1.0) ** n * even))))
     checks.append(Check("eigenfunction parity", res, 1e-14))
-
-    if kernels.HAS_NUMBA:
-        def rel_gap(a, b):
-            return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
-
-        y = np.linspace(-9.0, 9.0, 1001)
-        res = 0.0
-        for n in (0, 3, 17):
-            res = max(
-                res,
-                rel_gap(
-                    kernels.hermite_functions_numba(n, 1.3, y),
-                    kernels.hermite_functions_numpy(n, 1.3, y),
-                ),
-            )
-        d = np.arange(0.0, 120.0)
-        for s in (0, 2, 7):
-            res = max(
-                res,
-                rel_gap(
-                    kernels.laguerre_table_numba(s, d, 9.0),
-                    kernels.laguerre_table_numpy(s, d, 9.0),
-                ),
-            )
-        checks.append(Check("kernel backend parity (numba vs numpy)", res, 1e-14))
 
     return checks
 

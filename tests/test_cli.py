@@ -44,7 +44,7 @@ def test_density_artifacts(tmp_path):
     manifest = _read_json(out / "manifest.json")
     assert manifest["command"] == "density"
     assert manifest["parameters"]["grid"] == [-7.0, 7.0, 16]
-    assert manifest["backend"] in ("numba", "numpy")
+    assert manifest["backend"] == "numpy"
 
 
 def test_density_stationary_without_displacement(tmp_path):

@@ -138,6 +138,16 @@ def test_zeta_reports_quadrature_failure():
     )
     with pytest.raises(drive.QuadratureError):
         drive.zeta(wild, 1.0, 1.0)
+    # a NaN force gives a NaN error estimate, which no "> tol" test catches
+    half_nan = drive.DrivePulse(
+        "half-nan", 0.0, 4.0, ((0.0, 4.0, lambda t: np.where(t > 2.0, np.nan, 0.5)),)
+    )
+    all_nan = drive.DrivePulse(
+        "all-nan", 0.0, 4.0, ((0.0, 4.0, lambda t: np.full_like(t, np.nan)),)
+    )
+    for pulse in (half_nan, all_nan):
+        with pytest.raises(drive.QuadratureError):
+            drive.zeta(pulse, 1.0, 4.0)
 
 
 def test_beta_vanishes_at_start():

@@ -1,22 +1,11 @@
-"""Backend dispatch and numpy/numba parity for the array kernels."""
-
-import os
-import subprocess
-import sys
+"""Shape handling and reference values of the array kernels."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from gcslib import kernels
 
 import oracles
-
-
-def test_backend_reports_something_sane():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.HAS_NUMBA and not os.environ.get("GCSLIB_BACKEND"):
-        assert kernels.BACKEND == "numba"
 
 
 def test_hermite_functions_scalar_returns_float():
@@ -48,38 +37,3 @@ def test_laguerre_table_matches_explicit_sums():
             assert out.shape == (7,)
             ref = np.array([oracles.laguerre_sum(s, m, z) for m in range(7)])
             assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree():
-    y = np.linspace(-4.0, 4.0, 257)
-    for n in (0, 3, 11):
-        fast = kernels.hermite_functions(n, 1.7, y)
-        slow = kernels.hermite_functions_numpy(n, 1.7, y)
-        scale = np.max(np.abs(slow))
-        assert np.max(np.abs(fast - slow)) / scale < 1e-14
-    orders = np.arange(33, dtype=np.float64)
-    fast = kernels.laguerre_table(12, orders, 2.0)
-    slow = kernels.laguerre_table_numpy(12, orders, 2.0)
-    scale = np.max(np.abs(slow))
-    assert np.max(np.abs(fast - slow)) / scale < 1e-14
-
-
-def _run_with_backend(value):
-    code = "import gcslib.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, GCSLIB_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_backend_env_forces_numpy():
-    proc = _run_with_backend("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_backend_env_rejects_unknown():
-    proc = _run_with_backend("cuda")
-    assert proc.returncode != 0
-    assert "GCSLIB_BACKEND" in proc.stderr

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
@@ -50,6 +52,13 @@ def test_default_grid_covers_turning_points():
     assert grid.x_max > turning + 3.9
     assert grid.x_min == -grid.x_max
     assert grid.values.shape == (64,)
+    # at n = 40 the n-state's own turning points sqrt(2n+1) widen the grid,
+    # so even the frames at the largest displacement keep their mass
+    lab = states.GcsLabel(40, 3.0)
+    grid = states.default_grid(lab, points=4097)
+    for t in np.linspace(0.0, math.pi, 9):
+        mass = simpson(states.density_grid(lab, grid, t), x=grid.values)
+        assert abs(mass - 1.0) < 1e-12, (t, mass)
 
 
 def test_position_expectation_values():
@@ -234,6 +243,27 @@ def test_photon_distribution_keeps_mass_at_large_amplitude():
     assert np.all(probs[1700:1800] > 0.0)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 150),
+    mag=st.floats(0.0, 30.0),
+    phase=st.floats(-math.pi, math.pi),
+    where=st.floats(0.0, 1.0),
+)
+def test_one_amplitude_routine_behind_probabilities_and_coefficients(n, mag, phase, where):
+    # P_k and c_k are read off one amplitude routine, so the scalar and the
+    # vectorized P_k agree bit for bit and |c_k|^2 matches P_k
+    alpha = cmath.rect(mag, phase)
+    reach = mag + math.sqrt(n + 0.5)
+    k_max = int(reach**2 + 5.0 * reach + 20.0)
+    probs = states.photon_distribution(n, alpha, k_max).probs
+    k = int(where * k_max)
+    assert states.photon_probability(n, alpha, k) == probs[k]
+    assert abs(np.sum(probs) - 1.0) < 1e-10
+    coeffs = states.number_expansion(n, alpha, k_max)
+    assert np.max(np.abs(np.abs(coeffs) ** 2 - probs)) <= 1e-14 * np.max(probs)
+
+
 def test_photon_distribution_validation():
     with pytest.raises(ValueError):
         states.photon_distribution(2, 1.0, -1)
@@ -353,13 +383,14 @@ def test_field_variance():
 
 
 def test_field_density_rows_normalized():
-    lab = states.GcsLabel(1, 1.5)
     grid = states.SpatialGrid(-math.pi, math.pi, 33, k=1.0)
-    e = states.default_field_axis(lab, points=2049)
-    dens = states.field_density_grid(lab, grid, 0.0, e)
-    assert dens.shape == (33, 2049)
-    masses = simpson(dens, x=e, axis=1)
-    assert_allclose(masses, np.ones(33), atol=1e-8)
+    # n = 40 needs the n-state's own turning points on the default axis
+    for lab in (states.GcsLabel(1, 1.5), states.GcsLabel(40, 3.0)):
+        e = states.default_field_axis(lab, points=2049)
+        dens = states.field_density_grid(lab, grid, 0.0, e)
+        assert dens.shape == (33, 2049)
+        masses = simpson(dens, x=e, axis=1)
+        assert_allclose(masses, np.ones(33), atol=1e-8)
 
 
 def test_field_density_alpha_zero_is_phase_independent():
