@@ -34,6 +34,8 @@ class GcsLabel:
         object.__setattr__(self, "omega", float(self.omega))
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (cmath.isfinite(self.alpha) and math.isfinite(self.omega)):
+            raise ValueError(f"alpha and omega must be finite, got {self.alpha}, {self.omega}")
 
     @property
     def alpha_mag(self):
@@ -223,14 +225,24 @@ class PhotonDistribution:
         """Probability mass beyond k_max: 1 - sum(probs)."""
         return float(1.0 - np.sum(self.probs))
 
-    def mean(self):
-        return float(np.sum(np.arange(self.probs.shape[0]) * self.probs))
+    def _weights(self, power, tol):
+        # a moment of a table missing more than tol of its mass would be a
+        # plausible wrong number, so it raises instead
+        if self.tail_deficit > tol:
+            raise fock.TruncationError(
+                f"P_0..P_{self.k_max} miss {self.tail_deficit:.3g} of the mass "
+                f"(tol {tol:g}); raise k_max"
+            )
+        return np.arange(self.probs.shape[0]) ** power * self.probs
 
-    def second_moment(self):
-        return float(np.sum(np.arange(self.probs.shape[0]) ** 2 * self.probs))
+    def mean(self, tol=1e-10):
+        return float(np.sum(self._weights(1, tol)))
 
-    def variance(self):
-        return self.second_moment() - self.mean() ** 2
+    def second_moment(self, tol=1e-10):
+        return float(np.sum(self._weights(2, tol)))
+
+    def variance(self, tol=1e-10):
+        return self.second_moment(tol) - self.mean(tol) ** 2
 
 
 def photon_probability(n, alpha, k):

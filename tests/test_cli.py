@@ -271,18 +271,85 @@ def test_help_exits_zero(capsys):
     assert "density" in capsys.readouterr().out
 
 
+# every emitting command, on small grids
+SMALL_RUNS = {
+    "density": ["--grid", "-4:4:8", "--t", "0:1:3"],
+    "wavefunction": ["--n", "1", "--alpha", "1,0.5", "--grid", "-4:4:8", "--t", "0:1:2"],
+    "field-density": ["--n", "2", "--alpha", "1,0.5", "--grid", "-1:1:3"],
+    "photon-dist": ["--n", "1", "--alpha", "2", "--kmax", "30"],
+    "expect": ["--n", "2", "--alpha", "1.5"],
+    "beamsplit": ["--n", "1", "--alpha", "0.8"],
+    "drive": ["--n", "1", "--steps", "100", "--t1", "2.0", "--center", "1.0", "--width", "0.3"],
+}
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert cli.main(["expect", "--n", "2", "--alpha", "1.5", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert (a / "expect.json").read_bytes() == (b / "expect.json").read_bytes()
-    c, d = tmp_path / "c", tmp_path / "d"
-    for out in (c, d):
-        assert cli.main(
-            ["density", "--grid", "-4:4:8", "--t", "0:1:3", "--out", str(out)]
-        ) == 0
-    assert (c / "density.csv").read_bytes() == (d / "density.csv").read_bytes()
+    for command, argv in SMALL_RUNS.items():
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        printed = []
+        for out in (a, b):
+            assert cli.main([command, *argv, "--out", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1], command
+        names = sorted(p.name for p in a.iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), f"{command}/{name}"
+
+
+def _reference_write_csv(path, header, rows):
+    # the row writer the CLI used before columnar emission, kept as the oracle
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row]
+            )
+
+
+def test_write_table_matches_csv_writer(tmp_path):
+    special = np.array([-0.0, 5e-324, 1e308, 1e-300, -1.5, 1.0 / 3.0, math.pi * 1e17, 1e16])
+    ints = np.arange(-3, special.size - 3)
+    reversed_cells = cli._cells(special[::-1])  # a column formatted once, as shared
+    header = ["a [x]", "b [y]", "c [z]"]
+    blocks = [
+        (np.float64(0.25), special, ints),
+        (7, reversed_cells, -special),
+        (np.int64(-3), np.array([1e-300]), 2.5),  # a one-row block
+        (-0.0, 5e-324, 1e308),  # scalars only: one row
+    ]
+    rows = (
+        [(np.float64(0.25), v, i) for v, i in zip(special, ints)]
+        + [(7, v, w) for v, w in zip(special[::-1], -special)]
+        + [(np.int64(-3), 1e-300, 2.5), (-0.0, 5e-324, 1e308)]
+    )
+    for name, blk, ref in (("table", blocks, rows), ("empty", [], [])):
+        cli._write_table(tmp_path / f"{name}.csv", header, blk)
+        _reference_write_csv(tmp_path / f"{name}-ref.csv", header, ref)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}-ref.csv").read_bytes()
+    assert got == b"a [x],b [y],c [z]\r\n"
+
+
+@pytest.mark.parametrize("command", ["density", "field-density"])
+def test_grid_needs_two_points(tmp_path, capsys, command):
+    assert cli.main([command, "--grid=-3:3:0", "--out", str(tmp_path / "o")]) == 1
+    assert "points must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["photon-dist", "--alpha", "nan", "--kmax", "20"],
+    ["wavefunction", "--alpha", "inf", "--grid", "-3:3:8", "--t", "0:1:1"],
+    ["beamsplit", "--alpha", "inf"],
+    ["density", "--alpha", "nan", "--t", "0:1:1"],
+], ids=["photon-dist", "wavefunction", "beamsplit", "density"])
+def test_non_finite_label_exits_one(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file(tmp_path, capsys):

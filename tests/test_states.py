@@ -38,6 +38,15 @@ def test_label_validation():
         states.GcsLabel(0, 1.0, omega=0.0)
 
 
+@pytest.mark.parametrize(
+    "alpha, omega", [(math.nan, 1.0), (complex(0.5, math.inf), 1.0), (1.0, math.inf)]
+)
+def test_label_rejects_non_finite(alpha, omega):
+    # a NaN or infinite label would flow into every closed form as data
+    with pytest.raises(ValueError, match="must be finite"):
+        states.GcsLabel(0, alpha, omega)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         states.SpatialGrid(1.0, 1.0, 8)
@@ -231,6 +240,19 @@ def test_photon_distribution_mass_and_mean():
     assert dist.k_max == 60
     assert abs(dist.tail_deficit) < 1e-12
     assert_allclose(dist.mean(), states.mean_photon(2, 1.5), atol=1e-10)
+
+
+def test_truncated_moments_raise():
+    # P_0..P_8 of |2, 1.2> miss 1.3 % of the mass: the table is right, but
+    # its moments would be wrong (mean 3.32 against 3.44, variance 6.89
+    # against 7.20), so they raise instead
+    dist = states.photon_distribution(2, 1.2, 8)
+    assert dist.tail_deficit > 0.01
+    for moment in (dist.mean, dist.second_moment, dist.variance):
+        with pytest.raises(fock.TruncationError, match="k_max"):
+            moment()
+    assert dist.mean(tol=0.02) == float(np.sum(np.arange(9) * dist.probs))
+    assert_allclose(states.photon_distribution(2, 1.2, 60).mean(), 2 + 1.2**2, rtol=1e-12)
 
 
 def test_photon_distribution_keeps_mass_at_large_amplitude():
