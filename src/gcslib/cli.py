@@ -434,9 +434,11 @@ def build_parser():
         p = sub.add_parser(command.name, help=command.help)
         if command.emits:
             p.add_argument("--n", type=int, default=command.n, help="level index n")
+        if command.alpha is not None:  # drive takes its label from the pulse
             p.add_argument("--alpha", help="complex amplitude as RE or RE,IM")
             p.add_argument("--alpha-mag", type=float, dest="alpha_mag")
             p.add_argument("--alpha-phase", type=float, dest="alpha_phase", help="radians")
+        if command.emits:
             p.add_argument("--omega", type=float, default=1.0)
             p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./gcs-out)")
             p.add_argument("--config", help="key=value config file (dim, tol, grid, out)")

@@ -133,6 +133,11 @@ PULSES = {
 }
 
 
+def _check_omega(omega):
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+
+
 def _check_time(pulse, t):
     if not pulse.t0 <= t <= pulse.t1:
         raise ValueError(f"t={t} outside pulse interval [{pulse.t0}, {pulse.t1}]")
@@ -145,6 +150,7 @@ def zeta(pulse, omega, t):
     raises QuadratureError with the achieved error estimate on failure, and
     when the integral or the estimate is not finite.
     """
+    _check_omega(omega)
     _check_time(pulse, t)
     total = 0.0 + 0.0j
     err = 0.0
@@ -175,6 +181,7 @@ def beta_phase(pulse, omega, t):
     Rewritten as one sweep: carry G(t') = integral of f e^{-i w s} ds and
     accumulate d(beta)/dt' = f(t') Im[e^{i w t'} G(t')] / (2 w).
     """
+    _check_omega(omega)
     _check_time(pulse, t)
     state = np.zeros(3)
 
@@ -215,6 +222,7 @@ def drive_hamiltonian(pulse, omega, dim):
     its bands are (k + 1/2) omega and f(t) sqrt(k + 1)/sqrt(2 omega), which
     fock._propagate integrates without forming it.
     """
+    _check_omega(omega)
     return fock.TridiagonalHamiltonian(
         (np.arange(dim) + 0.5) * omega,
         np.sqrt(np.arange(1.0, dim)) / math.sqrt(2.0 * omega),

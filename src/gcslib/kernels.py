@@ -33,3 +33,26 @@ def laguerre_table(s, d, z):
     for j in range(1, s):
         L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
     return L1
+
+
+def laguerre_diagonal(n, z):
+    """L_k^{n-k}(z) for k = 0..n-1: the anti-diagonal degree + index = n.
+
+    One laguerre_table recurrence runs over the indices d = n - k at once,
+    entry k is read off when the degree reaches k, and the arrays then drop
+    it, so finished entries neither cost steps nor overflow.  Each entry
+    takes the same arithmetic as laguerre_table(k, [n - k], z), so the two
+    agree bit for bit.
+    """
+    d = np.arange(n, 0, -1, dtype=np.float64)
+    out = np.ones_like(d)
+    if n < 2:
+        return out
+    d = d[1:]
+    L0, L1 = np.ones_like(d), 1.0 + d - z
+    out[1] = L1[0]
+    for j in range(1, n - 1):
+        d = d[1:]
+        L0, L1 = L1[1:], ((2.0 * j + 1.0 + d - z) * L1[1:] - (j + d) * L0[1:]) / (j + 1.0)
+        out[j + 1] = L1[0]
+    return out

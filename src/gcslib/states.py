@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, specfun
-from .kernels import laguerre_table
+from .kernels import laguerre_diagonal, laguerre_table
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,29 @@ def orthonormality_check(n, m, alpha, dim=None):
     return float(abs(ip - (1.0 if n == m else 0.0)))
 
 
+_LOG_FACTORIALS = np.zeros(1)  # ln k! for k < len, grown by _log_factorials
+
+
+def _log_factorials(top):
+    """ln k! for k = 0..top (or more), each from specfun.log_factorial.
+
+    The table outlives the call and doubles when it is too short, so a run
+    calls log_factorial once per k rather than once per s and s + d.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.shape[0] <= top:
+        size = max(top + 1, 2 * table.shape[0])
+        table = np.array([specfun.log_factorial(k) for k in range(size)])
+        _LOG_FACTORIALS = table
+    return table
+
+
 def _log_weight(s, d, z):
     # ln of sqrt(s!/(s+d)!) e^{-z/2} z^{d/2}, vectorized over integer s and d
-    lg = np.vectorize(specfun.log_factorial, otypes=[np.float64])
-    out = 0.5 * (lg(s) - lg(s + d)) - 0.5 * z
+    top = s + d
+    lf = _log_factorials(int(np.max(top)))
+    out = 0.5 * (lf[s] - lf[top]) - 0.5 * z
     pos = d > 0
     if np.any(pos):
         out = np.where(pos, out + 0.5 * d * np.log(np.where(pos, z, 1.0)), out)
@@ -151,9 +170,12 @@ def _amplitudes(n, z, k_max):
 
     a_k = sqrt(s!/(s+d)!) e^{-z/2} z^{d/2} L_s^d(z) with s = min(n, k) and
     d = |n - k|, so P_k = a_k^2 and c_k = a_k e^{i d theta}.  The weight is
-    taken in log space so the k ~ 100 regime neither over- nor underflows;
-    k >= n comes from one Laguerre table, the few k < n one at a time
-    through math.exp, which rounds some of them differently from np.exp.
+    taken in log space so the k ~ 100 regime neither over- nor underflows.
+    The Laguerre values come from two recurrences: laguerre_table at degree
+    n for k >= n, laguerre_diagonal for k < n.  Below n the weight goes
+    through math.exp, which rounds some values differently from np.exp.
+    Raises ValueError when an amplitude is not finite: for large n and
+    |alpha| the Laguerre recurrence overflows far out in k.
     """
     a = np.zeros(k_max + 1)
     if z == 0.0:
@@ -162,11 +184,17 @@ def _amplitudes(n, z, k_max):
         return a
     if n:
         lo = np.arange(min(n, k_max + 1))
-        for k, lw in zip(lo, _log_weight(lo, n - lo, z)):
-            a[k] = math.exp(lw) * specfun.laguerre_assoc(k, n - k, z)
+        weights = [math.exp(lw) for lw in _log_weight(lo, n - lo, z).tolist()]
+        a[: lo.size] = np.array(weights) * laguerre_diagonal(n, z)[: lo.size]
     if k_max >= n:
         d = np.arange(k_max - n + 1)
         a[n:] = np.exp(_log_weight(n, d, z)) * laguerre_table(n, d, z)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(
+            f"amplitude of k={bad[0]} is not finite for n={n}, "
+            f"|alpha|={math.sqrt(z):.6g}: the Laguerre recurrence overflows"
+        )
     return a
 
 
@@ -189,7 +217,7 @@ def number_expansion(n, alpha, k_max):
         for k in range(n):
             coeffs[k] = a[k] * cmath.exp(1j * (n - k) * cmath.phase(-alpha.conjugate()))
     mass = float(np.sum(np.abs(coeffs) ** 2))
-    if mass < 1.0 - 1e-10:
+    if not mass >= 1.0 - 1e-10:  # a NaN mass fails here too
         raise fock.TruncationError(
             f"k_max={k_max} captures mass {mass:.12f} < 1 - 1e-10 for "
             f"n={n}, |alpha|={abs(alpha):.3f}"

@@ -260,6 +260,27 @@ def test_drive_computes_zeta_and_beta_once(tmp_path, capsys, monkeypatch):
     assert rep["beta"] == drive.beta_phase(pulse, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
+def test_drive_rejects_bad_omega(tmp_path, capsys, omega):
+    code = cli.main(["drive", "--steps", "20", f"--omega={omega}", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "omega must be finite and positive" in capsys.readouterr().err
+
+
+def test_drive_rejects_label_flags(tmp_path, capsys):
+    # drive's label comes from its pulse, so an amplitude flag is a usage error
+    for flag in ("--alpha", "--alpha-mag", "--alpha-phase"):
+        assert cli.main(["drive", "--steps", "20", flag, "5", "--out", str(tmp_path / "o")]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_photon_dist_non_finite_amplitudes_exit_one(tmp_path, capsys):
+    code = cli.main(["photon-dist", "--n", "300", "--alpha", "30", "--kmax", "2497",
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "k=2357 is not finite" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert cli.main(["verify", "nope"]) == 1

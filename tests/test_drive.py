@@ -130,6 +130,16 @@ def test_zeta_time_bounds():
         drive.zeta(pulse, 1.0, -0.5)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_response_rejects_bad_omega(omega):
+    pulse = drive.gaussian_pulse(*GAUSS_ARGS)
+    for call in (lambda: drive.zeta(pulse, omega, 4.0),
+                 lambda: drive.beta_phase(pulse, omega, 4.0),
+                 lambda: drive.drive_hamiltonian(pulse, omega, 20)):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            call()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.filterwarnings("ignore:.*maximum number of subdivisions.*")
 def test_zeta_reports_quadrature_failure():

@@ -37,3 +37,17 @@ def test_laguerre_table_matches_explicit_sums():
             assert out.shape == (7,)
             ref = np.array([oracles.laguerre_sum(s, m, z) for m in range(7)])
             assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+
+
+def test_laguerre_diagonal_is_the_per_degree_tables_bit_for_bit():
+    for n, z in ((1, 0.5), (5, 2.0), (40, 9.0), (150, 900.0), (300, 400.0)):
+        per_k = np.array([kernels.laguerre_table(k, [n - k], z)[0] for k in range(n)])
+        assert kernels.laguerre_diagonal(n, z).tobytes() == per_k.tobytes()
+
+
+def test_laguerre_diagonal_matches_explicit_sums():
+    assert kernels.laguerre_diagonal(0, 1.0).shape == (0,)
+    for n in range(1, 9):
+        for z in (0.0, 0.4, 1.3, 2.8):
+            ref = [oracles.laguerre_sum(k, n - k, z) for k in range(n)]
+            assert_allclose(kernels.laguerre_diagonal(n, z), ref, rtol=1e-12, atol=1e-14)

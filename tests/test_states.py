@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from gcslib import fock, states
+from gcslib import fock, specfun, states
 
 import oracles
 
@@ -267,23 +267,55 @@ def test_photon_distribution_keeps_mass_at_large_amplitude():
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    n=st.integers(0, 150),
+    n=st.integers(0, 300),
     mag=st.floats(0.0, 30.0),
     phase=st.floats(-math.pi, math.pi),
     where=st.floats(0.0, 1.0),
 )
 def test_one_amplitude_routine_behind_probabilities_and_coefficients(n, mag, phase, where):
     # P_k and c_k are read off one amplitude routine, so the scalar and the
-    # vectorized P_k agree bit for bit and |c_k|^2 matches P_k
+    # vectorized P_k agree bit for bit and |c_k|^2 matches P_k; the Laguerre
+    # recurrence may overflow only above n = 250, and then it raises
     alpha = cmath.rect(mag, phase)
     reach = mag + math.sqrt(n + 0.5)
     k_max = int(reach**2 + 5.0 * reach + 20.0)
-    probs = states.photon_distribution(n, alpha, k_max).probs
+    try:
+        probs = states.photon_distribution(n, alpha, k_max).probs
+    except ValueError:
+        assert n > 250
+        return
     k = int(where * k_max)
     assert states.photon_probability(n, alpha, k) == probs[k]
     assert abs(np.sum(probs) - 1.0) < 1e-10
     coeffs = states.number_expansion(n, alpha, k_max)
     assert np.max(np.abs(np.abs(coeffs) ** 2 - probs)) <= 1e-14 * np.max(probs)
+
+
+def test_non_finite_amplitudes_raise():
+    # far out in k the Laguerre recurrence at degree 300 overflows
+    with pytest.raises(ValueError, match=r"k=2357 is not finite for n=300, \|alpha\|=30"):
+        states.photon_distribution(300, 30.0, 2497)
+    with pytest.raises(ValueError, match="k=2357"):
+        states.number_expansion(300, 30.0, 2497)
+
+
+def test_log_factorial_table_is_log_factorial_bit_for_bit():
+    ref = np.array([specfun.log_factorial(k) for k in range(5001)])
+    assert states._log_factorials(5000)[:5001].tobytes() == ref.tobytes()
+
+
+def test_amplitudes_run_one_recurrence_each_side_of_n(monkeypatch):
+    calls = {"laguerre_table": 0, "laguerre_diagonal": 0}
+    for name in calls:
+        real = getattr(states, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(states, name, counted)
+    states._amplitudes(40, 9.0, 200)
+    assert calls == {"laguerre_table": 1, "laguerre_diagonal": 1}
 
 
 def test_photon_distribution_validation():
