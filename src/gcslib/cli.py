@@ -192,10 +192,10 @@ def _field_density(args, label, grid, times):
     dens = states.field_density_grid(label, grid, 0.0, e_axis)
     chi, e_cells = _cells(grid.values), _cells(e_axis)
     centers = states.field_center(label, grid.values)
-    nodes = []
-    for branch, curve in enumerate(states.field_node_curves(label, grid, 0.0)):
-        amp = specfun.eigenfunction(label.n, label.omega, curve - centers)
-        nodes.append((chi, branch, curve, amp * amp))
+    curves = states.field_node_curves(label, grid, 0.0)
+    amp = specfun.eigenfunction(label.n, label.omega, curves - centers)
+    amp *= amp
+    nodes = [(chi, branch, curve, dens) for branch, (curve, dens) in enumerate(zip(curves, amp))]
     params = _level(label.n, label.alpha, omega=label.omega, e_points=len(e_axis),
                     chi=[grid.x_min, grid.x_max, grid.points])
     return Output(params, {

@@ -1,26 +1,90 @@
 """Hot numeric kernels: three-term recurrences vectorized in NumPy.
 
 Each recurrence step is one array operation over every point (or every
-upper index) at once, so the Python loop runs over the degree only.
+upper index, or every point of a cache-sized block) at once, so the Python
+loop runs over the degree only.
 """
 
+import math
+
 import numpy as np
+
+# Points per block of the Hermite recurrence: the x slice, the output slice
+# and two work buffers (4 x 64 KiB of float64) stay resident in L2.
+_BLOCK = 8192
+# Seed exponents below this get a per-point binary shift so exp() of the
+# seed stays a normal float; exp(-680) is about 5e-296.
+_SEED_FLOOR = -680.0
+# Cap on that shift, so a = -inf (infinite y or omega) seeds a plain zero.
+_MAX_SHIFT = 1 << 20
+_LN2 = math.log(2.0)
 
 
 def hermite_functions(n, omega, y):
     """Normalized oscillator eigenfunction phi_n(y) for scalar or any-shape y.
 
-    Three-term recurrence on the normalized functions; the Gaussian and the
-    1/sqrt(2^n n!) factor ride along, so nothing overflows for n <= 200.
+    Three-term recurrence on the normalized functions, phi_{k+1} =
+    sqrt(2 omega/(k+1)) y phi_k - sqrt(k/(k+1)) phi_{k-1}, seeded with
+    (omega/pi)^{1/4} exp(a), a = -omega y^2/2.  The flattened input runs
+    through the whole recurrence in blocks of _BLOCK points, each step
+    written in place into preallocated buffers, and the last step lands in
+    the output array, so nothing is copied.
+
+    Where a < _SEED_FLOOR the seed would underflow before the recurrence
+    grows it (from n ~ 750 at omega = 1), so such points carry a binary
+    exponent S: the seed is exp(a + S ln 2) and the result is scaled back
+    by 2^-S.  Points with S = 0 take exactly the unscaled arithmetic.  Raises
+    ValueError, naming n and the first such y, when a value is not finite:
+    a NaN or infinite y with n >= 1, or a scaled value past the float range
+    (y^2 omega above ~2800, so n above ~1400 in the allowed region).
     """
     arr = np.asarray(y, dtype=np.float64)
     x = arr.reshape(-1)
-    p0 = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * x * x)
-    p1 = np.sqrt(2.0 * omega) * x * p0 if n else p0
-    for k in range(1, n):
-        p0, p1 = p1, np.sqrt(2.0 * omega / (k + 1.0)) * x * p1 - np.sqrt(k / (k + 1.0)) * p0
-    res = p1.reshape(arr.shape)
+    out = np.empty_like(x)
+    size = min(x.size, _BLOCK)
+    work = np.empty(size), np.empty(size)
+    steps = [(math.sqrt(2.0 * omega / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        for i in range(0, x.size, _BLOCK):
+            xb, res = x[i:i + _BLOCK], out[i:i + _BLOCK]
+            _hermite_block(omega, steps, xb, res, *(w[:xb.size] for w in work))
+            finite = np.isfinite(res)
+            if not finite.all():
+                bad = float(xb[finite.argmin()])
+                raise ValueError(f"phi_{n}(y) is not finite at y = {bad!r} (omega = {omega!r})")
+    res = out.reshape(arr.shape)
     return float(res) if arr.ndim == 0 else res
+
+
+def _hermite_block(omega, steps, x, res, q, t):
+    """Run the recurrence of hermite_functions over one block x into res.
+
+    q and t are work buffers of x's size.  Each step is the arithmetic
+    (c_k x) phi_k - s_k phi_{k-1} done in place.
+    """
+    # n - 1 steps, each writing where phi_{k-1} was: for even n the last
+    # lands where the seed was, so the seed goes to res
+    p0, p1 = (res, q) if len(steps) % 2 == 0 else (q, res)
+    np.multiply(-0.5 * omega, x, out=p0)
+    p0 *= x
+    shift = None
+    if np.any(p0 < _SEED_FLOOR):
+        shift = np.ceil((_SEED_FLOOR - p0) / _LN2)
+        shift = np.where(p0 < _SEED_FLOOR, np.minimum(shift, _MAX_SHIFT), 0.0)
+        p0 += shift * _LN2
+    np.exp(p0, out=p0)
+    p0 *= (omega / np.pi) ** 0.25
+    if steps:
+        np.multiply(steps[0][0], x, out=p1)
+        p1 *= p0
+    for c, s in steps[1:]:
+        np.multiply(c, x, out=t)
+        t *= p1
+        p0 *= s
+        np.subtract(t, p0, out=p0)
+        p0, p1 = p1, p0
+    if shift is not None:
+        np.ldexp(res, -shift.astype(np.int64), out=res)
 
 
 def laguerre_table(s, d, z):

@@ -61,13 +61,16 @@ def eigenfunction(n, omega, x):
     x : array_like
         Positions; any shape, or a scalar.
 
-    Stable for n up to a few hundred: the recurrence acts on the normalized
-    functions, so no factorials or 2^n appear.
+    The recurrence acts on the normalized functions, so no factorials or
+    2^n appear, and a binary-scaled seed keeps it exact where exp(-omega
+    x^2/2) alone would underflow (n from ~750).  Raises ValueError when a
+    value is not finite (NaN or infinite x with n >= 1, or n above ~1400
+    near the turning point), never returning NaN.
     """
     _check_index(n)
     omega = float(omega)
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     return kernels.hermite_functions(n, omega, x)
 
 

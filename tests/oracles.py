@@ -33,6 +33,20 @@ def laguerre_sum(k, m, z):
     return total
 
 
+def hermite_functions_recurrence(n, omega, y):
+    """phi_n(y) by the allocating recurrence kernels.hermite_functions used
+    before it was blocked and made in-place; kept verbatim as the bit-for-bit
+    reference (valid where exp(-omega y^2 / 2) does not underflow)."""
+    arr = np.asarray(y, dtype=np.float64)
+    x = arr.reshape(-1)
+    p0 = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * x * x)
+    p1 = np.sqrt(2.0 * omega) * x * p0 if n else p0
+    for k in range(1, n):
+        p0, p1 = p1, np.sqrt(2.0 * omega / (k + 1.0)) * x * p1 - np.sqrt(k / (k + 1.0)) * p0
+    res = p1.reshape(arr.shape)
+    return float(res) if arr.ndim == 0 else res
+
+
 def eigenfunction_mp(n, omega, x, dps=50):
     """phi_n(x) straight from the factorial formula at `dps` decimal digits."""
     import mpmath as mp

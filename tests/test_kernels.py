@@ -1,6 +1,7 @@
 """Shape handling and reference values of the array kernels."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from gcslib import kernels
@@ -27,6 +28,41 @@ def test_hermite_functions_match_reference_sums():
         got = kernels.hermite_functions(n, 2.0, y)
         ref = np.array([oracles.eigenfunction_mp(n, 2.0, x) for x in y])
         assert_allclose(got, ref, rtol=1e-11, atol=1e-13)
+
+
+def _same_bytes(n, omega, y):
+    got = kernels.hermite_functions(n, omega, y)
+    ref = oracles.hermite_functions_recurrence(n, omega, y)
+    assert np.shape(got) == np.shape(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (n, omega, np.shape(y))
+
+
+@pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+def test_hermite_functions_blocks_are_the_recurrence_bit_for_bit(size):
+    y = np.random.default_rng(size).uniform(-12.0, 12.0, size)
+    for n in (0, 1, 17):
+        _same_bytes(n, 1.0, y)
+
+
+@pytest.mark.parametrize("shape", [(128, 2048), (3, 41, 67), ()])
+def test_hermite_functions_shapes_are_the_recurrence_bit_for_bit(shape):
+    y = np.random.default_rng(7).uniform(-6.0, 6.0, shape)
+    _same_bytes(17, 1.3, y if shape else float(y))
+    _same_bytes(4, 0.8, y[..., ::3] if shape else float(y))  # strided input
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.3])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 40, 200])
+def test_hermite_functions_levels_are_the_recurrence_bit_for_bit(n, omega):
+    y = np.random.default_rng(n).uniform(-25.0, 25.0, 2 * 8192 + 3) / np.sqrt(omega)
+    _same_bytes(n, omega, y)
+
+
+def test_hermite_functions_names_the_first_bad_point():
+    y = np.zeros(3 * 8192)
+    y[8192 + 5], y[-1] = np.nan, np.inf
+    with pytest.raises(ValueError, match=r"phi_3\(y\) is not finite at y = nan"):
+        kernels.hermite_functions(3, 1.0, y)
 
 
 def test_laguerre_table_matches_explicit_sums():

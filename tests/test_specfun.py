@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
@@ -123,6 +125,50 @@ def test_eigenfunction_rejects_bad_omega():
         specfun.eigenfunction(2, 0.0, 1.0)
     with pytest.raises(ValueError):
         specfun.eigenfunction(2, -1.5, 1.0)
+
+
+@pytest.mark.parametrize("n,x", [(800, 39.0), (800, 40.5), (760, 38.65), (720, 37.9)])
+def test_eigenfunction_past_seed_underflow(n, x):
+    # exp(-x^2/2) alone is below 1e-296 here; the unscaled seed returned 0.0
+    ref = oracles.eigenfunction_mp(n, 1.0, x)
+    assert_allclose(specfun.eigenfunction(n, 1.0, x), ref, rtol=1e-12)
+
+
+def test_eigenfunction_raises_past_float_range():
+    # the scaled seed needs 2^1178 here, so the recurrence overflows
+    with pytest.raises(ValueError, match=r"phi_1500\(y\) is not finite at y = 54\.7"):
+        specfun.eigenfunction(1500, 1.0, 54.7)
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan])
+def test_eigenfunction_rejects_non_finite_omega(omega):
+    with pytest.raises(ValueError, match="finite and positive"):
+        specfun.eigenfunction(2, omega, 1.0)
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_eigenfunction_rejects_non_finite_y(y):
+    with pytest.raises(ValueError, match="not finite"):
+        specfun.eigenfunction(3, 1.0, np.array([0.5, y]))
+    if math.isinf(y):
+        assert specfun.eigenfunction(0, 1.0, y) == 0.0
+    else:
+        with pytest.raises(ValueError, match="not finite"):
+            specfun.eigenfunction(0, 1.0, y)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(0, 800), omega=st.floats(0.1, 10.0), u=st.floats(-1.0, 1.0))
+def test_eigenfunction_matches_mpmath_or_raises(n, omega, u):
+    # y over the allowed region plus 3 ground-state widths on each side; the
+    # absolute slack covers the points next to a node of phi_n
+    y = u * (math.sqrt((2 * n + 1) / omega) + 3.0 / math.sqrt(omega))
+    try:
+        got = specfun.eigenfunction(n, omega, y)
+    except ValueError:
+        return
+    ref = oracles.eigenfunction_mp(n, omega, y)
+    assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * (omega / math.pi) ** 0.25)
 
 
 def test_log_factorial_small_exact():
