@@ -194,8 +194,7 @@ def _field_density(args, label, grid, times):
     centers = states.field_center(label, grid.values)
     curves = states.field_node_curves(label, grid, 0.0)
     amp = specfun.eigenfunction(label.n, label.omega, curves - centers)
-    amp *= amp
-    nodes = [(chi, branch, curve, dens) for branch, (curve, dens) in enumerate(zip(curves, amp))]
+    nodes = [(chi, branch, curve, a * a) for branch, (curve, a) in enumerate(zip(curves, amp))]
     params = _level(label.n, label.alpha, omega=label.omega, e_points=len(e_axis),
                     chi=[grid.x_min, grid.x_max, grid.points])
     return Output(params, {

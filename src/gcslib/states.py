@@ -116,8 +116,7 @@ def wavefunction(label, x, t):
 def density_grid(label, grid, t):
     """|psi|^2 on the grid: the n-state density rigidly carried along <x>(t)."""
     amp = specfun.eigenfunction(label.n, label.omega, grid.values - position_expectation(label, t))
-    amp *= amp
-    return amp
+    return amp * amp
 
 
 def overlap(n, beta, alpha):
@@ -419,8 +418,7 @@ def field_density_grid(label, grid, t, e_values=None):
     chi = k * grid.values - label.omega * t
     centers = field_center(label, chi)
     amp = specfun.eigenfunction(label.n, label.omega, e_values[None, :] - centers[:, None])
-    amp *= amp
-    return amp
+    return amp * amp
 
 
 def field_node_curves(label, grid, t):
