@@ -35,19 +35,19 @@ def hermite_functions(n, omega, y):
     exponent S: the seed is exp(a + S ln 2) and the result is scaled back
     by 2^-S.  Points with S = 0 take exactly the unscaled arithmetic.  Raises
     ValueError, naming n and the first such y, when a value is not finite:
-    a NaN or infinite y with n >= 1, or a scaled value past the float range
-    (y^2 omega above ~2800, so n above ~1400 in the allowed region).
+    a NaN y, an infinite y with n >= 1, or a scaled value past the float
+    range (y^2 omega above ~2800, so n above ~1400 in the allowed region).
     """
     arr = np.asarray(y, dtype=np.float64)
     x = arr.reshape(-1)
     out = np.empty_like(x)
     size = min(x.size, _BLOCK)
-    work = np.empty(size), np.empty(size)
+    q, t = np.empty(size), np.empty(size)
     steps = [(math.sqrt(2.0 * omega / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
         for i in range(0, x.size, _BLOCK):
             xb, res = x[i:i + _BLOCK], out[i:i + _BLOCK]
-            _hermite_block(omega, steps, xb, res, *(w[:xb.size] for w in work))
+            _hermite_block(omega, steps, xb, res, q[:xb.size], t[:xb.size])
             finite = np.isfinite(res)
             if not finite.all():
                 bad = float(xb[finite.argmin()])
@@ -68,7 +68,7 @@ def _hermite_block(omega, steps, x, res, q, t):
     np.multiply(-0.5 * omega, x, out=p0)
     p0 *= x
     shift = None
-    if np.any(p0 < _SEED_FLOOR):
+    if p0.min() < _SEED_FLOOR:  # a NaN hides this, but its point raises anyway
         shift = np.ceil((_SEED_FLOOR - p0) / _LN2)
         shift = np.where(p0 < _SEED_FLOOR, np.minimum(shift, _MAX_SHIFT), 0.0)
         p0 += shift * _LN2

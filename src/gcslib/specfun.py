@@ -62,10 +62,10 @@ def eigenfunction(n, omega, x):
         Positions; any shape, or a scalar.
 
     The recurrence acts on the normalized functions, so no factorials or
-    2^n appear, and a binary-scaled seed keeps it exact where exp(-omega
-    x^2/2) alone would underflow (n from ~750).  Raises ValueError when a
-    value is not finite (NaN or infinite x with n >= 1, or n above ~1400
-    near the turning point), never returning NaN.
+    2^n appear, and a binary-scaled seed keeps it accurate where
+    exp(-omega x^2/2) alone would underflow (n from ~750).  Raises
+    ValueError when a value is not finite (a NaN x, an infinite x with
+    n >= 1, or n above ~1400 near the turning point), never returning NaN.
     """
     _check_index(n)
     omega = float(omega)
