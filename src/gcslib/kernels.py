@@ -18,6 +18,11 @@ _SEED_FLOOR = -680.0
 # Cap on that shift, so a = -inf (infinite y or omega) seeds a plain zero.
 _MAX_SHIFT = 1 << 20
 _LN2 = math.log(2.0)
+# A shifted value whose binary exponent passes _RESCALE_EXP is brought back
+# below 1, its exponent moved into the shift; rescaling runs before a step
+# that could lift some value past 2^_LEVEL_MAX.
+_RESCALE_EXP = 500
+_LEVEL_MAX = 1000.0
 
 
 def hermite_functions(n, omega, y):
@@ -33,10 +38,14 @@ def hermite_functions(n, omega, y):
     Where a < _SEED_FLOOR the seed would underflow before the recurrence
     grows it (from n ~ 750 at omega = 1), so such points carry a binary
     exponent S: the seed is exp(a + S ln 2) and the result is scaled back
-    by 2^-S.  Points with S = 0 take exactly the unscaled arithmetic.  Raises
-    ValueError, naming n and the first such y, when a value is not finite:
-    a NaN y, an infinite y with n >= 1, or a scaled value past the float
-    range (y^2 omega above ~2800, so n above ~1400 in the allowed region).
+    by 2^-S.  A scaled value can outgrow the float range (beyond the turning
+    point, or for n above ~1400 inside it), so whenever a bound on the
+    block's growth allows that, every scaled value past 2^_RESCALE_EXP is
+    divided by its power of two and S takes the exponent; a true phi_n
+    below the float range then comes out 0.0.  Points with S = 0 take
+    exactly the unscaled arithmetic.  Raises ValueError, naming n and the
+    first such y, when a value is not finite: a NaN y or an infinite y with
+    n >= 1.
     """
     arr = np.asarray(y, dtype=np.float64)
     x = arr.reshape(-1)
@@ -44,14 +53,13 @@ def hermite_functions(n, omega, y):
     size = min(x.size, _BLOCK)
     q, t = np.empty(size), np.empty(size)
     steps = [(math.sqrt(2.0 * omega / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
-        for i in range(0, x.size, _BLOCK):
-            xb, res = x[i:i + _BLOCK], out[i:i + _BLOCK]
-            _hermite_block(omega, steps, xb, res, q[:xb.size], t[:xb.size])
-            finite = np.isfinite(res)
-            if not finite.all():
-                bad = float(xb[finite.argmin()])
-                raise ValueError(f"phi_{n}(y) is not finite at y = {bad!r} (omega = {omega!r})")
+    for i in range(0, x.size, _BLOCK):
+        xb, res = x[i:i + _BLOCK], out[i:i + _BLOCK]
+        _hermite_block(omega, steps, xb, res, q[:xb.size], t[:xb.size])
+        finite = np.isfinite(res)
+        if not finite.all():
+            bad = float(xb[finite.argmin()])
+            raise ValueError(f"phi_{n}(y) is not finite at y = {bad!r} (omega = {omega!r})")
     res = out.reshape(arr.shape)
     return float(res) if arr.ndim == 0 else res
 
@@ -67,11 +75,11 @@ def _hermite_block(omega, steps, x, res, q, t):
     p0, p1 = (res, q) if len(steps) % 2 == 0 else (q, res)
     np.multiply(-0.5 * omega, x, out=p0)
     p0 *= x
-    shift = None
-    if p0.min() < _SEED_FLOOR:  # a NaN hides this, but its point raises anyway
-        shift = np.ceil((_SEED_FLOOR - p0) / _LN2)
-        shift = np.where(p0 < _SEED_FLOOR, np.minimum(shift, _MAX_SHIFT), 0.0)
-        p0 += shift * _LN2
+    a_min = p0.min()
+    if a_min < _SEED_FLOOR:  # a NaN hides this, but its point raises anyway
+        with np.errstate(invalid="ignore"):  # inf * 0 at an infinite y, which raises
+            _scaled_block(omega, steps, x, res, p0, p1, t, float(a_min))
+        return
     np.exp(p0, out=p0)
     p0 *= (omega / np.pi) ** 0.25
     if steps:
@@ -83,8 +91,53 @@ def _hermite_block(omega, steps, x, res, q, t):
         p0 *= s
         np.subtract(t, p0, out=p0)
         p0, p1 = p1, p0
-    if shift is not None:
-        np.ldexp(res, -shift.astype(np.int64), out=res)
+
+
+def _scaled_block(omega, steps, x, res, p0, p1, t, a_min):
+    """_hermite_block for a block where some seeds need the shift S.
+
+    p0 holds the seed exponents a, the least of them a_min.  The steps are
+    those of _hermite_block; level bounds log2 max(|phi_{k-1}|, |phi_k|)
+    over the block, raised each step by log2(c_k max|x| + s_k), and _rescale
+    runs before it could pass _LEVEL_MAX.
+    """
+    shift = np.ceil((_SEED_FLOOR - p0) / _LN2)
+    shift = np.where(p0 < _SEED_FLOOR, np.minimum(shift, _MAX_SHIFT), 0.0)
+    p0 += shift * _LN2
+    np.exp(p0, out=p0)
+    p0 *= (omega / np.pi) ** 0.25
+    if steps:
+        np.multiply(steps[0][0], x, out=p1)
+        p1 *= p0
+        # the seeds are at most (omega/pi)^(1/4), phi_1 at most c_0 max|x| times that
+        x_max = math.sqrt(-2.0 * a_min / omega)
+        level = max(0.0, 0.25 * math.log2(omega / math.pi)) + max(0.0, math.log2(steps[0][0] * x_max))
+    for c, s in steps[1:]:
+        grow = math.log2(c * x_max + s)
+        if level + grow > _LEVEL_MAX:
+            level = _rescale(p0, p1, shift)
+        level += max(grow, 0.0)
+        np.multiply(c, x, out=t)
+        t *= p1
+        p0 *= s
+        np.subtract(t, p0, out=p0)
+        p0, p1 = p1, p0
+    np.ldexp(res, -shift.astype(np.int64), out=res)
+
+
+def _rescale(p0, p1, shift):
+    """Divide p0 and p1 by 2^e at points where max(|p0|, |p1|) has binary
+    exponent e > _RESCALE_EXP, and take e off the shift there.
+
+    Only shifted values grow this large, and a power of two scales exactly.
+    Returns the new bound on log2 max(|p0|, |p1|).
+    """
+    _, e = np.frexp(np.maximum(np.abs(p0), np.abs(p1)))
+    e[e <= _RESCALE_EXP] = 0
+    np.ldexp(p0, -e, out=p0)
+    np.ldexp(p1, -e, out=p1)
+    shift -= e
+    return float(_RESCALE_EXP)
 
 
 def laguerre_table(s, d, z):

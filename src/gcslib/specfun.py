@@ -62,10 +62,11 @@ def eigenfunction(n, omega, x):
         Positions; any shape, or a scalar.
 
     The recurrence acts on the normalized functions, so no factorials or
-    2^n appear, and a binary-scaled seed keeps it accurate where
-    exp(-omega x^2/2) alone would underflow (n from ~750).  Raises
-    ValueError when a value is not finite (a NaN x, an infinite x with
-    n >= 1, or n above ~1400 near the turning point), never returning NaN.
+    2^n appear, and a binary-scaled seed, rescaled as the recurrence grows
+    it, keeps it accurate where exp(-omega x^2/2) alone would underflow
+    (n from ~750); values below the float range come out 0.0.  Raises
+    ValueError when a value is not finite (a NaN x, or an infinite x with
+    n >= 1), never returning NaN.
     """
     _check_index(n)
     omega = float(omega)

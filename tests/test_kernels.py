@@ -58,6 +58,20 @@ def test_hermite_functions_levels_are_the_recurrence_bit_for_bit(n, omega):
     _same_bytes(n, omega, y)
 
 
+def test_hermite_functions_unshifted_points_keep_their_bits_next_to_shifted_ones():
+    # |y| past sqrt(1360 / omega) takes a shifted seed; the points short of
+    # it, in the same blocks, must still be the unscaled recurrence
+    for omega in (1.0, 2.3):
+        y = np.random.default_rng(3).uniform(-60.0, 60.0, 2 * 8192 + 3) / np.sqrt(omega)
+        near = 0.5 * omega * y * y < 680.0
+        assert 0 < near.sum() < y.size
+        for n in (0, 1, 40, 200):
+            got = kernels.hermite_functions(n, omega, y)
+            ref = oracles.hermite_functions_recurrence(n, omega, y)
+            assert got[near].tobytes() == ref[near].tobytes(), (n, omega)
+            assert np.isfinite(got).all()
+
+
 def test_hermite_functions_names_the_first_bad_point():
     y = np.zeros(3 * 8192)
     y[8192 + 5], y[-1] = np.nan, np.inf

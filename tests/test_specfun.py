@@ -134,10 +134,20 @@ def test_eigenfunction_past_seed_underflow(n, x):
     assert_allclose(specfun.eigenfunction(n, 1.0, x), ref, rtol=1e-12)
 
 
-def test_eigenfunction_raises_past_float_range():
-    # the scaled seed needs 2^1178 here, so the recurrence overflows
-    with pytest.raises(ValueError, match=r"phi_1500\(y\) is not finite at y = 54\.7"):
-        specfun.eigenfunction(1500, 1.0, 54.7)
+@pytest.mark.parametrize("n,x", [(1500, 54.7), (3000, 77.4)])
+def test_eigenfunction_past_float_range(n, x):
+    # the seed shift is 2^1178 and 2^3340 here, so the scaled values pass
+    # the float range on their way up and are rescaled one or more times
+    ref = oracles.eigenfunction_mp(n, 1.0, x)
+    assert_allclose(specfun.eigenfunction(n, 1.0, x), ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n,x", [(600, 110.0), (500, 200.0), (800, 90.0), (800, 1000.0)])
+def test_eigenfunction_far_tail_underflows_to_zero(n, x):
+    # phi_n is below the float range here, while its scaled value, phi_n
+    # times exp(x^2/2 - 680), is above it
+    assert specfun.eigenfunction(n, 1.0, x) == 0.0
+    assert specfun.eigenfunction(n, 1.0, -x) == 0.0
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan])
@@ -159,14 +169,11 @@ def test_eigenfunction_rejects_non_finite_y(y):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(n=st.integers(0, 800), omega=st.floats(0.1, 10.0), u=st.floats(-1.0, 1.0))
-def test_eigenfunction_matches_mpmath_or_raises(n, omega, u):
+def test_eigenfunction_matches_mpmath(n, omega, u):
     # y over the allowed region plus 3 ground-state widths on each side; the
     # absolute slack covers the points next to a node of phi_n
     y = u * (math.sqrt((2 * n + 1) / omega) + 3.0 / math.sqrt(omega))
-    try:
-        got = specfun.eigenfunction(n, omega, y)
-    except ValueError:
-        return
+    got = specfun.eigenfunction(n, omega, y)
     ref = oracles.eigenfunction_mp(n, omega, y)
     assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * (omega / math.pi) ** 0.25)
 
