@@ -67,8 +67,7 @@ def hermite_functions(n, omega, y):
 def _hermite_block(omega, steps, x, res, q, t):
     """Run the recurrence of hermite_functions over one block x into res.
 
-    q and t are work buffers of x's size.  Each step is the arithmetic
-    (c_k x) phi_k - s_k phi_{k-1} done in place.
+    q and t are work buffers of x's size.
     """
     # n - 1 steps, each writing where phi_{k-1} was: for even n the last
     # lands where the seed was, so the seed goes to res
@@ -76,53 +75,62 @@ def _hermite_block(omega, steps, x, res, q, t):
     np.multiply(-0.5 * omega, x, out=p0)
     p0 *= x
     a_min = p0.min()
-    if a_min < _SEED_FLOOR:  # a NaN hides this, but its point raises anyway
-        with np.errstate(invalid="ignore"):  # inf * 0 at an infinite y, which raises
-            _scaled_block(omega, steps, x, res, p0, p1, t, float(a_min))
+    if not a_min < _SEED_FLOOR:  # a NaN lands here too, and its point raises
+        _recurrence(omega, steps, x, p0, p1, t, None, ())
         return
-    np.exp(p0, out=p0)
-    p0 *= (omega / np.pi) ** 0.25
-    if steps:
-        np.multiply(steps[0][0], x, out=p1)
-        p1 *= p0
-    for c, s in steps[1:]:
-        np.multiply(c, x, out=t)
-        t *= p1
-        p0 *= s
-        np.subtract(t, p0, out=p0)
-        p0, p1 = p1, p0
-
-
-def _scaled_block(omega, steps, x, res, p0, p1, t, a_min):
-    """_hermite_block for a block where some seeds need the shift S.
-
-    p0 holds the seed exponents a, the least of them a_min.  The steps are
-    those of _hermite_block; level bounds log2 max(|phi_{k-1}|, |phi_k|)
-    over the block, raised each step by log2(c_k max|x| + s_k), and _rescale
-    runs before it could pass _LEVEL_MAX.
-    """
     shift = np.ceil((_SEED_FLOOR - p0) / _LN2)
     shift = np.where(p0 < _SEED_FLOOR, np.minimum(shift, _MAX_SHIFT), 0.0)
     p0 += shift * _LN2
+    with np.errstate(invalid="ignore"):  # inf * 0 at an infinite y, which raises
+        _recurrence(omega, steps, x, p0, p1, t, shift, _rescale_steps(omega, steps, float(a_min)))
+    np.ldexp(res, -shift.astype(np.int64), out=res)
+
+
+def _recurrence(omega, steps, x, p0, p1, t, shift, rescale_at):
+    """Seed p0 with exp of the exponents it holds, then take the steps.
+
+    Each step is the arithmetic (c_k x) phi_k - s_k phi_{k-1} done in place;
+    before step k in rescale_at, _rescale moves exponents into shift.
+    """
     np.exp(p0, out=p0)
     p0 *= (omega / np.pi) ** 0.25
     if steps:
         np.multiply(steps[0][0], x, out=p1)
         p1 *= p0
-        # the seeds are at most (omega/pi)^(1/4), phi_1 at most c_0 max|x| times that
-        x_max = math.sqrt(-2.0 * a_min / omega)
-        level = max(0.0, 0.25 * math.log2(omega / math.pi)) + max(0.0, math.log2(steps[0][0] * x_max))
-    for c, s in steps[1:]:
-        grow = math.log2(c * x_max + s)
-        if level + grow > _LEVEL_MAX:
-            level = _rescale(p0, p1, shift)
-        level += max(grow, 0.0)
+    for k in range(1, len(steps)):
+        c, s = steps[k]
+        if k in rescale_at:
+            _rescale(p0, p1, shift)
         np.multiply(c, x, out=t)
         t *= p1
         p0 *= s
         np.subtract(t, p0, out=p0)
         p0, p1 = p1, p0
-    np.ldexp(res, -shift.astype(np.int64), out=res)
+
+
+def _rescale_steps(omega, steps, a_min):
+    """The steps k before which a block with shifted seeds is rescaled.
+
+    level bounds log2 max(|phi_{k-1}|, |phi_k|) over the block, with
+    max|y| taken from the least seed exponent a_min: the seeds are at most
+    (omega/pi)^(1/4), phi_1 at most c_0 max|y| times that, and step k
+    multiplies the bound by at most c_k max|y| + s_k.  A step that could
+    take it past _LEVEL_MAX is rescaled first, after which it is
+    _RESCALE_EXP.
+    """
+    at = set()
+    if not steps:
+        return at
+    y_max = math.sqrt(-2.0 * a_min / omega)
+    level = max(0.0, 0.25 * math.log2(omega / math.pi)) + max(0.0, math.log2(steps[0][0] * y_max))
+    for k in range(1, len(steps)):
+        c, s = steps[k]
+        grow = max(0.0, math.log2(c * y_max + s))
+        if level + grow > _LEVEL_MAX:
+            at.add(k)
+            level = _RESCALE_EXP
+        level += grow
+    return at
 
 
 def _rescale(p0, p1, shift):
@@ -130,14 +138,12 @@ def _rescale(p0, p1, shift):
     exponent e > _RESCALE_EXP, and take e off the shift there.
 
     Only shifted values grow this large, and a power of two scales exactly.
-    Returns the new bound on log2 max(|p0|, |p1|).
     """
     _, e = np.frexp(np.maximum(np.abs(p0), np.abs(p1)))
     e[e <= _RESCALE_EXP] = 0
     np.ldexp(p0, -e, out=p0)
     np.ldexp(p1, -e, out=p1)
     shift -= e
-    return float(_RESCALE_EXP)
 
 
 def laguerre_table(s, d, z):
