@@ -80,8 +80,6 @@ def _resolve(args):
             setattr(args, key, cast(cfg[key]))
     if args.out is None:
         args.out = cfg.get("out") or os.environ.get(ENV_OUT)
-    if args.tol is None:
-        args.tol = 1e-10
 
 
 def _label(args, default_alpha):
@@ -216,11 +214,12 @@ def _photon_dist(args, label, grid, times):
 def _expect(args, label, grid, times):
     # headroom past the bare tail heuristic keeps the N^2 moment clean
     dim = args.dim or max(fock.min_dim(label.alpha, label.n) + 24, 48)
+    tol = 1e-10 if args.tol is None else args.tol
     g2_value = states.g2(label.n, label.alpha)  # rejects the vacuum up front
     vec = fock.gcs_vector(label.n, label.alpha, dim, label.omega)
     _, _, num = fock.ladder_matrices(dim)
-    mean_oracle = fock.expectation(num, vec, args.tol).real
-    second = fock.expectation(num @ num, vec, args.tol).real
+    mean_oracle = fock.expectation(num, vec, tol).real
+    second = fock.expectation(num @ num, vec, tol).real
     vx, vy = states.quadrature_variances(label.n)
     params = _level(label.n, label.alpha, omega=label.omega)
     report = {
@@ -240,7 +239,7 @@ def _expect(args, label, grid, times):
         "momentum_expectation_t0": states.momentum_expectation(label, 0.0),
     }
     return Output(params, report=report, dim=dim, tail_mass=vec.tail_mass(),
-                  tolerances={"tail": args.tol})
+                  tolerances={"tail": tol})
 
 
 def _beamsplit(args, label, grid, times):
@@ -343,6 +342,7 @@ class Command:
     grid: object = None  # label -> default SpatialGrid; adds --grid
     frames: int = None  # default frame count over one period; adds --t
     dim: bool = False  # adds --dim
+    tol: bool = False  # adds --tol
     flags: tuple = ()  # (name, add_argument keywords)
     emits: bool = True
 
@@ -360,7 +360,7 @@ COMMANDS = (
     Command("photon-dist", "photon-number distribution", _photon_dist,
             alpha=10.0 + 0.0j, flags=(("--kmax", dict(type=int, default=220)),)),
     Command("expect", "closed-form and oracle expectation report", _expect,
-            n=1, alpha=3.0 + 0.0j, dim=True),
+            n=1, alpha=3.0 + 0.0j, dim=True, tol=True),
     Command("beamsplit", "beamsplitter output decomposition", _beamsplit,
             n=1, alpha=1.0 + 0.0j, dim=True, flags=(
                 ("--R", dict(dest="reflection", default="0,0.7071067811865476",
@@ -441,6 +441,7 @@ def build_parser():
             p.add_argument("--omega", type=float, default=1.0)
             p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./gcs-out)")
             p.add_argument("--config", help="key=value config file (dim, tol, grid, out)")
+        if command.tol:
             p.add_argument("--tol", type=float, help="tail-mass tolerance for oracles")
         if command.grid is not None:
             p.add_argument("--grid", help="MIN:MAX:POINTS")

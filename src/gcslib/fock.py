@@ -33,11 +33,6 @@ def min_dim(alpha, n=0):
     return int(math.floor(a * a + 6.0 * a + 10.0 + 2 * n)) + 1
 
 
-def _tail_ok(alpha, dim, n=0):
-    a = abs(alpha)
-    return a * a + 6.0 * a + 10.0 + 2 * n < dim
-
-
 def ladder_matrices(dim):
     """Annihilation, creation, and number matrices (a, adag, num) at size dim."""
     if not isinstance(dim, (int, np.integer)) or dim < 2:
@@ -51,11 +46,12 @@ def displacement_matrix(alpha, dim, check_tail=True):
     """Displacement operator exp(alpha adag - conj(alpha) a), truncated to dim.
 
     Computed by scipy's scaling-and-squaring expm.  Unitary to machine
-    precision only when the tail guard holds; pass check_tail=False to
-    inspect the raw truncated exponential anyway.
+    precision only when the tail guard dim >= min_dim(alpha) holds; pass
+    check_tail=False to inspect the raw truncated exponential anyway.  A
+    dim that is not an integer skips the guard, and ladder_matrices rejects it.
     """
     alpha = complex(alpha)
-    if check_tail and not _tail_ok(alpha, dim):
+    if check_tail and isinstance(dim, (int, np.integer)) and dim < min_dim(alpha):
         raise TruncationError(
             f"dim={dim} too small for |alpha|={abs(alpha):.3f}; "
             f"need at least {min_dim(alpha)}"
@@ -97,7 +93,7 @@ def gcs_vector(n, alpha, dim, omega=1.0):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     if not n < dim / 2:
         raise TruncationError(f"n={n} too close to the truncation edge dim={dim}")
-    if not _tail_ok(alpha, dim, n):
+    if isinstance(dim, (int, np.integer)) and dim < min_dim(alpha, n):
         raise TruncationError(
             f"dim={dim} too small for n={n}, |alpha|={abs(alpha):.3f}; "
             f"need at least {min_dim(alpha, n)}"

@@ -2,7 +2,9 @@
 
 Each recurrence step is one array operation over every point (or every
 upper index, or every point of a cache-sized block) at once, so the Python
-loop runs over the degree only.
+loop runs over the degree only.  laguerre_table keeps every degree of its
+recurrence, so one call gives all the Laguerre factors of a number-basis
+amplitude table: a row for k >= n and an anti-diagonal for k < n.
 """
 
 import math
@@ -147,35 +149,18 @@ def _rescale(p0, p1, shift):
 
 
 def laguerre_table(s, d, z):
-    """Generalized Laguerre L_s^{d_i}(z): fixed degree s over an array d of upper indices."""
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
-    L0 = np.ones_like(d)
-    if s == 0:
-        return L0
-    L1 = 1.0 + d - z
-    for j in range(1, s):
-        L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
-    return L1
+    """Generalized Laguerre L_j^{d_i}(z) for every degree j = 0..s over an
+    array d of upper indices: the whole recurrence, shape (s + 1, len(d)).
 
-
-def laguerre_diagonal(n, z):
-    """L_k^{n-k}(z) for k = 0..n-1: the anti-diagonal degree + index = n.
-
-    One laguerre_table recurrence runs over the indices d = n - k at once,
-    entry k is read off when the degree reaches k, and the arrays then drop
-    it, so finished entries neither cost steps nor overflow.  Each entry
-    takes the same arithmetic as laguerre_table(k, [n - k], z), so the two
-    agree bit for bit.
+    Row j is L_j^d(z) from L_{j+1} = ((2j + 1 + d - z) L_j - (j + d) L_{j-1})
+    / (j + 1), one array step per degree; each column is its own recurrence,
+    so an entry's bits do not depend on the other upper indices in d.
     """
-    d = np.arange(n, 0, -1, dtype=np.float64)
-    out = np.ones_like(d)
-    if n < 2:
-        return out
-    d = d[1:]
-    L0, L1 = np.ones_like(d), 1.0 + d - z
-    out[1] = L1[0]
-    for j in range(1, n - 1):
-        d = d[1:]
-        L0, L1 = L1[1:], ((2.0 * j + 1.0 + d - z) * L1[1:] - (j + d) * L0[1:]) / (j + 1.0)
-        out[j + 1] = L1[0]
-    return out
+    d = np.asarray(d, dtype=np.float64).reshape(-1)
+    table = np.empty((s + 1, d.size))
+    table[0] = 1.0
+    if s:
+        table[1] = 1.0 + d - z
+    for j in range(1, s):
+        table[j + 1] = ((2.0 * j + 1.0 + d - z) * table[j] - (j + d) * table[j - 1]) / (j + 1.0)
+    return table

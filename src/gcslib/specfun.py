@@ -41,7 +41,7 @@ def laguerre_assoc(k, m, z):
     """Generalized Laguerre polynomial L_k^m(z) for integer k >= 0, m >= 0."""
     _check_index(k, "k")
     _check_index(m, "m")
-    return float(kernels.laguerre_table(k, np.array([float(m)]), float(z))[0])
+    return float(kernels.laguerre_table(k, np.array([float(m)]), float(z))[k, 0])
 
 
 def laguerre(k, z):

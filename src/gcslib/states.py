@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, specfun
-from .kernels import laguerre_diagonal, laguerre_table
+from .kernels import laguerre_table
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,19 @@ class GcsLabel:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
+        specfun._check_index(self.n)
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "omega", float(self.omega))
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if not (cmath.isfinite(self.alpha) and math.isfinite(self.omega)):
-            raise ValueError(f"alpha and omega must be finite, got {self.alpha}, {self.omega}")
+        try:  # |alpha|^2 past the float range raises OverflowError
+            finite = math.isfinite(abs(self.alpha) ** 2) and math.isfinite(self.omega)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"alpha, |alpha|^2 and omega must be finite, got {self.alpha}, {self.omega}"
+            )
 
     @property
     def alpha_mag(self):
@@ -121,8 +126,7 @@ def density_grid(label, grid, t):
 
 def overlap(n, beta, alpha):
     """<n, beta | n, alpha> = e^{-(|a|^2+|b|^2-2 a b*)/2} L_n(|a-b|^2)."""
-    alpha = complex(alpha)
-    beta = complex(beta)
+    alpha, beta = GcsLabel(n, alpha).alpha, GcsLabel(n, beta).alpha
     ex = -0.5 * (abs(alpha) ** 2 + abs(beta) ** 2 - 2.0 * alpha * beta.conjugate())
     return cmath.exp(ex) * specfun.laguerre(n, abs(alpha - beta) ** 2)
 
@@ -165,30 +169,39 @@ def _log_weight(s, d, z):
     return out
 
 
-def _amplitudes(n, z, k_max):
+def _mag2(n, alpha):
+    """|alpha|^2, once GcsLabel(n, alpha) has checked n and alpha (ValueError)."""
+    return GcsLabel(n, alpha).alpha_mag ** 2
+
+
+def _amplitudes(n, alpha, k_max):
     """Signed real amplitudes a_0..a_{k_max} of |n, alpha>, z = |alpha|^2.
 
     a_k = sqrt(s!/(s+d)!) e^{-z/2} z^{d/2} L_s^d(z) with s = min(n, k) and
     d = |n - k|, so P_k = a_k^2 and c_k = a_k e^{i d theta}.  The weight is
     taken in log space so the k ~ 100 regime neither over- nor underflows.
-    The Laguerre values come from two recurrences: laguerre_table at degree
-    n for k >= n, laguerre_diagonal for k < n.  Below n the weight goes
-    through math.exp, which rounds some values differently from np.exp.
-    Raises ValueError when an amplitude is not finite: for large n and
-    |alpha| the Laguerre recurrence overflows far out in k.
+    Every Laguerre value comes from one laguerre_table call over the upper
+    indices 0..max(k_max - n, n): a_k for k >= n reads row n at d = k - n,
+    and a_k for k < n reads the anti-diagonal entry [k, n - k].  Below n the
+    weight goes through math.exp, which rounds some values differently from
+    np.exp.  Raises ValueError for a bad n or alpha (GcsLabel's checks), and
+    when an amplitude is not finite: for large n and |alpha| the Laguerre
+    recurrence overflows far out in k.
     """
+    z = _mag2(n, alpha)
     a = np.zeros(k_max + 1)
     if z == 0.0:
         if n <= k_max:
             a[n] = 1.0
         return a
+    table = laguerre_table(n, np.arange(max(k_max - n, n) + 1), z)
     if n:
         lo = np.arange(min(n, k_max + 1))
         weights = [math.exp(lw) for lw in _log_weight(lo, n - lo, z).tolist()]
-        a[: lo.size] = np.array(weights) * laguerre_diagonal(n, z)[: lo.size]
+        a[: lo.size] = np.array(weights) * table[lo, n - lo]
     if k_max >= n:
         d = np.arange(k_max - n + 1)
-        a[n:] = np.exp(_log_weight(n, d, z)) * laguerre_table(n, d, z)
+        a[n:] = np.exp(_log_weight(n, d, z)) * table[n, : d.size]
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise ValueError(
@@ -209,8 +222,8 @@ def number_expansion(n, alpha, k_max):
     if not isinstance(k_max, (int, np.integer)) or k_max < n:
         raise ValueError(f"k_max must be an integer >= n, got {k_max!r}")
     alpha = complex(alpha)
+    a = _amplitudes(n, alpha, k_max)
     z = abs(alpha) ** 2
-    a = _amplitudes(n, z, k_max)
     coeffs = a.astype(complex)
     if z != 0.0:
         coeffs[n:] = a[n:] * np.exp(1j * np.arange(k_max - n + 1) * cmath.phase(alpha))
@@ -283,7 +296,7 @@ def photon_probability(n, alpha, k):
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    amp = _amplitudes(n, abs(complex(alpha)) ** 2, k)[k]
+    amp = _amplitudes(n, alpha, k)[k]
     return float(amp * amp)
 
 
@@ -296,13 +309,13 @@ def photon_distribution(n, alpha, k_max):
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     alpha = complex(alpha)
-    a = _amplitudes(n, abs(alpha) ** 2, k_max)
+    a = _amplitudes(n, alpha, k_max)
     return PhotonDistribution(a * a, n, alpha)
 
 
 def mean_photon(n, alpha):
     """<N> = n + |alpha|^2."""
-    return n + abs(complex(alpha)) ** 2
+    return n + _mag2(n, alpha)
 
 
 def photon_variance(n, alpha):
@@ -314,12 +327,12 @@ def photon_variance(n, alpha):
     `expect` command; the verify suites check the moment identities that
     actually hold for the distribution.
     """
-    return abs(complex(alpha)) ** 2
+    return _mag2(n, alpha)
 
 
 def fractional_uncertainty(n, alpha):
     """|alpha| / (n + |alpha|^2); vanishes as the amplitude grows."""
-    a = abs(complex(alpha))
+    a = GcsLabel(n, alpha).alpha_mag
     if n == 0 and a == 0.0:
         raise ValueError("fractional uncertainty undefined for the vacuum")
     return a / (n + a * a)
@@ -338,7 +351,7 @@ def g2(n, alpha):
     1 + ((2n+1)|alpha|^2 - n - |alpha|^2)/<N>^2 and crosses it only at n = 0
     or alpha = 0.  See photon_variance.
     """
-    z = abs(complex(alpha)) ** 2
+    z = _mag2(n, alpha)
     if n == 0 and z == 0.0:
         raise ValueError("g2 undefined for the vacuum (0/0)")
     return 1.0 - n / (n + z) ** 2
@@ -346,7 +359,7 @@ def g2(n, alpha):
 
 def g2_argmin_over_n(alpha, n_max):
     """Level n in 0..n_max minimizing g2; exact ties go to the smaller n."""
-    z = abs(complex(alpha)) ** 2
+    z = _mag2(0, alpha)
     if not isinstance(n_max, (int, np.integer)) or not n_max > z:
         raise ValueError(f"n_max must be an integer > |alpha|^2 = {z:.6g}")
     # alpha = 0: treat the undefined vacuum entry as its limit value 1
@@ -364,8 +377,7 @@ def quadrature_variances(n):
     and Y = i(a - adag)/(2 sqrt 2); on |n, alpha> both variances equal the
     number-state value (2n+1)/8 for every alpha and omega.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    specfun._check_index(n)
     v = (2 * n + 1) / 8.0
     return v, v
 
@@ -373,18 +385,16 @@ def quadrature_variances(n):
 def field_expectation(n, alpha, omega, x, t):
     """<E>(x, t) = sqrt(2/omega) |alpha| cos(kx - omega t + theta + pi/2), k = omega.
 
-    Unit field scaling and c = 1; independent of n.
+    This is field_center of the label at chi = kx - omega t; unit field
+    scaling and c = 1; independent of n.
     """
-    alpha = complex(alpha)
-    return (
-        math.sqrt(2.0 / omega)
-        * abs(alpha)
-        * np.cos(omega * np.asarray(x, float) - omega * t + cmath.phase(alpha) + 0.5 * np.pi)
-    )
+    label = GcsLabel(n, alpha, omega)
+    return field_center(label, label.omega * np.asarray(x, float) - label.omega * t)
 
 
 def field_variance(n, omega):
     """(Delta E)^2 = (2n+1)/(2 omega), independent of alpha, x and t."""
+    GcsLabel(n, 0.0, omega)
     return (2 * n + 1) / (2.0 * omega)
 
 

@@ -170,3 +170,35 @@ def local_maxima(values, floor=0.0):
         for k in range(1, v.size - 1)
         if v[k] >= v[k - 1] and v[k] > v[k + 1] and v[k] > floor
     ]
+
+
+def laguerre_last_row(s, d, z):
+    """L_s^{d_i}(z) at the one degree s: kernels.laguerre_table before it
+    returned every degree, kept verbatim as the bit-for-bit reference."""
+    d = np.asarray(d, dtype=np.float64).reshape(-1)
+    L0 = np.ones_like(d)
+    if s == 0:
+        return L0
+    L1 = 1.0 + d - z
+    for j in range(1, s):
+        L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
+    return L1
+
+
+def laguerre_diagonal(n, z):
+    """L_k^{n-k}(z) for k = 0..n-1 from one recurrence that drops each entry
+    once read: the second kernel the number-basis amplitudes used below n
+    before one table replaced both, kept verbatim as the bit-for-bit
+    reference."""
+    d = np.arange(n, 0, -1, dtype=np.float64)
+    out = np.ones_like(d)
+    if n < 2:
+        return out
+    d = d[1:]
+    L0, L1 = np.ones_like(d), 1.0 + d - z
+    out[1] = L1[0]
+    for j in range(1, n - 1):
+        d = d[1:]
+        L0, L1 = L1[1:], ((2.0 * j + 1.0 + d - z) * L1[1:] - (j + d) * L0[1:]) / (j + 1.0)
+        out[j + 1] = L1[0]
+    return out

@@ -373,6 +373,36 @@ def test_non_finite_label_exits_one(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS if c.alpha is not None])
+def test_alpha_whose_square_overflows_exits_one(tmp_path, capsys, command):
+    # |alpha|^2 = 1e400 used to escape as OverflowError (expect, photon-dist,
+    # beamsplit) or to write zero-filled tables (the grid commands)
+    assert cli.main([command, "--alpha", "1e200", "--out", str(tmp_path / "o")]) == 1
+    assert "error: alpha, |alpha|^2 and omega must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS if c.emits])
+def test_only_expect_takes_tol(tmp_path, capsys, command):
+    argv = [command, *SMALL_RUNS[command], "--tol", "0.5", "--out", str(tmp_path / "o")]
+    if command == "expect":
+        assert cli.main(argv) == 0
+        assert _read_json(tmp_path / "o" / "manifest.json")["tolerances"] == {"tail": 0.5}
+    else:
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_config_tol_reaches_expect(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-6\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["expect", "--alpha", "2", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _read_json(out / "manifest.json")["tolerances"] == {"tail": 1e-6}
+    # the key stays allowed for every command; only expect reads it
+    assert cli.main(["photon-dist", "--kmax", "30", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

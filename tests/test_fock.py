@@ -75,6 +75,17 @@ def test_min_dim_is_sufficient():
                 fock.gcs_vector(n, alpha, dim - 1)
 
 
+def test_non_integer_dim_is_a_value_error():
+    # min_dim(1.0) = 18 and min_dim(1.0, 1) = 20: dims just above the
+    # formula's value reach ladder_matrices, which rejects them
+    for dim in (17.5, 30.5, 5.5):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            fock.displacement_matrix(1.0, dim)
+    for dim in (19.5, 40.0):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            fock.gcs_vector(1, 1.0, dim)
+
+
 def test_number_state_basics():
     vec = fock.number_state(3, 10)
     assert vec.dim == 10

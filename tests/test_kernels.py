@@ -84,20 +84,36 @@ def test_laguerre_table_matches_explicit_sums():
     for s in (0, 1, 4, 6):
         for z in (0.0, 0.4, 1.3, 2.8):
             out = kernels.laguerre_table(s, orders, z)
-            assert out.shape == (7,)
-            ref = np.array([oracles.laguerre_sum(s, m, z) for m in range(7)])
+            assert out.shape == (s + 1, 7)
+            ref = [[oracles.laguerre_sum(j, m, z) for m in range(7)] for j in range(s + 1)]
             assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+
+
+def test_laguerre_table_rows_are_the_one_degree_recurrence_bit_for_bit():
+    d = np.arange(40)
+    for s, z in ((0, 1.0), (1, 0.5), (7, 2.0), (40, 9.0), (150, 900.0)):
+        table = kernels.laguerre_table(s, d, z)
+        for j in range(s + 1):
+            assert table[j].tobytes() == oracles.laguerre_last_row(j, d, z).tobytes(), (s, j)
+
+
+def _diagonal(n, z):
+    # entry [k, n - k] is L_k^{n-k}(z), k < n: what the number-basis
+    # amplitudes below n read
+    k = np.arange(n)
+    return kernels.laguerre_table(n, np.arange(n + 1), z)[k, n - k]
 
 
 def test_laguerre_diagonal_is_the_per_degree_tables_bit_for_bit():
     for n, z in ((1, 0.5), (5, 2.0), (40, 9.0), (150, 900.0), (300, 400.0)):
-        per_k = np.array([kernels.laguerre_table(k, [n - k], z)[0] for k in range(n)])
-        assert kernels.laguerre_diagonal(n, z).tobytes() == per_k.tobytes()
+        per_k = np.array([oracles.laguerre_last_row(k, [n - k], z)[0] for k in range(n)])
+        assert _diagonal(n, z).tobytes() == per_k.tobytes()
+        assert _diagonal(n, z).tobytes() == oracles.laguerre_diagonal(n, z).tobytes()
 
 
 def test_laguerre_diagonal_matches_explicit_sums():
-    assert kernels.laguerre_diagonal(0, 1.0).shape == (0,)
+    assert _diagonal(0, 1.0).shape == (0,)
     for n in range(1, 9):
         for z in (0.0, 0.4, 1.3, 2.8):
             ref = [oracles.laguerre_sum(k, n - k, z) for k in range(n)]
-            assert_allclose(kernels.laguerre_diagonal(n, z), ref, rtol=1e-12, atol=1e-14)
+            assert_allclose(_diagonal(n, z), ref, rtol=1e-12, atol=1e-14)

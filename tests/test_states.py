@@ -2,6 +2,7 @@
 expansions, photon and field statistics, coherence, completeness."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from gcslib import fock, specfun, states
+from gcslib import fock, kernels, specfun, states
 
 import oracles
 
@@ -45,6 +46,37 @@ def test_label_rejects_non_finite(alpha, omega):
     # a NaN or infinite label would flow into every closed form as data
     with pytest.raises(ValueError, match="must be finite"):
         states.GcsLabel(0, alpha, omega)
+
+
+def test_label_rejects_alpha_whose_square_overflows():
+    # |alpha|^2 = 1e400 is not a float: every closed form would overflow
+    for alpha in (1e200, complex(0.0, -1e155), complex(1.3e308, 1.3e308)):
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 and omega must be finite"):
+            states.GcsLabel(1, alpha)
+    assert states.GcsLabel(1, 1e150).alpha_mag == 1e150
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: states.mean_photon(-1, 2), "n"),
+    (lambda: states.field_variance(-3, 1.0), "n"),
+    (lambda: states.fractional_uncertainty(-2, 1.0), "n"),
+    (lambda: states.g2(1, math.inf), "alpha"),
+    (lambda: states.mean_photon(1, math.nan), "alpha"),
+    (lambda: states.photon_distribution(1.5, 1.0, 5), "n"),
+    (lambda: states.photon_distribution(-1, 1.0, 5), "n"),
+    (lambda: states.photon_variance(2, 1e200), "alpha"),
+    (lambda: states.number_expansion(1, math.nan, 5), "alpha"),
+    (lambda: states.photon_probability(-2, 1.0, 3), "n"),
+    (lambda: states.overlap(1, 0.5, 1e200), "alpha"),
+    (lambda: states.field_expectation(-1, 1.0, 1.0, 0.0, 0.0), "n"),
+    (lambda: states.quadrature_variances(2.5), "n"),
+], ids=["mean_photon-n", "field_variance-n", "fractional_uncertainty-n", "g2-alpha",
+        "mean_photon-alpha", "photon_distribution-n-float", "photon_distribution-n",
+        "photon_variance-alpha", "number_expansion-alpha", "photon_probability-n",
+        "overlap-alpha", "field_expectation-n", "quadrature_variances-n"])
+def test_closed_forms_reject_bad_n_and_alpha(call, name):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call()
 
 
 def test_grid_validation():
@@ -304,18 +336,97 @@ def test_log_factorial_table_is_log_factorial_bit_for_bit():
     assert states._log_factorials(5000)[:5001].tobytes() == ref.tobytes()
 
 
-def test_amplitudes_run_one_recurrence_each_side_of_n(monkeypatch):
-    calls = {"laguerre_table": 0, "laguerre_diagonal": 0}
-    for name in calls:
-        real = getattr(states, name)
+def test_amplitudes_run_one_laguerre_table(monkeypatch):
+    calls = []
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(*args):
+        calls.append(args[0])
+        return kernels.laguerre_table(*args)
 
-        monkeypatch.setattr(states, name, counted)
-    states._amplitudes(40, 9.0, 200)
-    assert calls == {"laguerre_table": 1, "laguerre_diagonal": 1}
+    monkeypatch.setattr(states, "laguerre_table", counted)
+    for k_max in (200, 20):  # both sides of n, and below n only
+        states._amplitudes(40, 3.0, k_max)
+    assert calls == [40, 40]
+    assert [name for name in dir(kernels) if "laguerre" in name] == ["laguerre_table"]
+
+
+def _amplitudes_two_recurrences(n, alpha, k_max):
+    # _amplitudes as it was with one Laguerre kernel for k >= n and another
+    # for k < n, built on the verbatim recurrences in oracles
+    z = abs(complex(alpha)) ** 2
+    a = np.zeros(k_max + 1)
+    if z == 0.0:
+        if n <= k_max:
+            a[n] = 1.0
+        return a
+    if n:
+        lo = np.arange(min(n, k_max + 1))
+        weights = [math.exp(lw) for lw in states._log_weight(lo, n - lo, z).tolist()]
+        a[: lo.size] = np.array(weights) * oracles.laguerre_diagonal(n, z)[: lo.size]
+    if k_max >= n:
+        d = np.arange(k_max - n + 1)
+        a[n:] = np.exp(states._log_weight(n, d, z)) * oracles.laguerre_last_row(n, d, z)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(
+            f"amplitude of k={bad[0]} is not finite for n={n}, "
+            f"|alpha|={math.sqrt(z):.6g}: the Laguerre recurrence overflows"
+        )
+    return a
+
+
+def _sweep_cases():
+    # n < 80 with |alpha| < 12, n in 80..300 with |alpha| < 40, random
+    # phases, and fixed points up to the overflow edge at n = 300
+    rng = np.random.default_rng(2026)
+    cases = [(int(rng.integers(0, 80)), cmath.rect(rng.uniform(0, 12), rng.uniform(-3.2, 3.2)))
+             for _ in range(160)]
+    cases += [(int(rng.integers(80, 301)), cmath.rect(rng.uniform(0, 40), rng.uniform(-3.2, 3.2)))
+              for _ in range(153)]
+    return cases + [(5, math.sqrt(2.0)), (40, 3.0), (150, 30.0), (250, 30.0),
+                    (300, 20.0), (300, 30.0), (300, 40.0)]
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except (ValueError, fock.TruncationError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(out, "probs", out)).tobytes()
+
+
+def _photon_cutoff(n, alpha):
+    r = abs(alpha) + math.sqrt(n + 0.5)
+    return int(r * r + 5.0 * r + 20.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_one_table_is_the_two_recurrences_bit_for_bit(monkeypatch):
+    # with k_max at the photon cutoff and at n // 2 (k < n only), every a_k,
+    # and the P_k and c_k read off it, has the two kernels' bits or raises
+    # their error; each amplitude routine runs once per (n, alpha, k_max)
+    # and the public functions read its cached result
+    def outcomes(amplitudes):
+        cached = functools.cache(amplitudes)
+        monkeypatch.setattr(states, "_amplitudes", lambda *case: cached(*case).copy())
+        rows = []
+        for n, alpha in cases:
+            cut = _photon_cutoff(n, alpha)
+            rows.append([_outcome(f, n, alpha, k) for f, k in (
+                (states._amplitudes, cut), (states._amplitudes, n // 2),
+                (states.photon_distribution, cut), (states.number_expansion, cut),
+                (states.photon_probability, n // 2))])
+        return rows
+
+    cases = _sweep_cases()
+    assert len(cases) == 320
+    new = outcomes(states._amplitudes)
+    old = outcomes(_amplitudes_two_recurrences)
+    for case, got, ref in zip(cases, new, old):
+        assert got == ref, case
+    raised = [r for row in old for r in row if isinstance(r, tuple)]
+    assert any("overflows" in message for _, message in raised)
 
 
 def test_photon_distribution_validation():
@@ -429,6 +540,17 @@ def test_field_expectation_independent_of_n():
     a = states.field_expectation(0, 1.5j, 1.0, x, 0.4)
     b = states.field_expectation(3, 1.5j, 1.0, x, 0.4)
     assert_allclose(a, b, atol=0)
+
+
+def test_field_expectation_is_the_field_center_formula_bit_for_bit():
+    x = np.linspace(-3.0, 3.0, 17)
+    for n, alpha, omega, t in ((0, 1.5j, 1.0, 0.4), (2, 0.7 - 1.1j, 2.5, -1.3), (1, 0.0, 1, 0.0)):
+        ref = (
+            math.sqrt(2.0 / omega)
+            * abs(complex(alpha))
+            * np.cos(omega * x - omega * t + cmath.phase(complex(alpha)) + 0.5 * np.pi)
+        )
+        assert states.field_expectation(n, alpha, omega, x, t).tobytes() == ref.tobytes()
 
 
 def test_field_variance():
