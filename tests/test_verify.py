@@ -14,21 +14,43 @@ EXACT_ROWS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+# the suites as shipped, captured before any test patches verify.SUITES
+SHIPPED = dict(verify.SUITES)
+_RUNS = {}
+
+
+def _run(suite):
+    """Rows and wall seconds of one suite, run once per test session."""
+    if suite not in _RUNS:
+        start = time.monotonic()
+        checks = SHIPPED[suite]()
+        _RUNS[suite] = checks, time.monotonic() - start
+    return _RUNS[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(SHIPPED))
 def test_suite_clean(suite):
-    # each suite runs once in the test run: clean, quick and well-formed rows
-    start = time.monotonic()
-    checks = verify.SUITES[suite]()
-    assert time.monotonic() - start < 60.0
+    checks, _ = _run(suite)
     assert checks
-    for c in checks:
-        assert isinstance(c.name, str) and c.name
-        assert c.residual >= 0.0
-        assert c.tolerance > 0.0 or ((suite, c.name) in EXACT_ROWS and c.tolerance == 0.0)
     failed = [c for c in checks if not c.passed]
     assert not failed, "\n".join(
         f"{c.name}: residual {c.residual:.3e} > {c.tolerance:.1e}" for c in failed
     )
+
+
+def test_gcs_suite_is_quick():
+    # gcs is the slowest suite; every suite is held to the same bound
+    assert _run("gcs")[1] < 60.0
+    for suite in SHIPPED:
+        assert _run(suite)[1] < 60.0, suite
+
+
+def test_check_row_shape():
+    for suite in SHIPPED:
+        for c in _run(suite)[0]:
+            assert isinstance(c.name, str) and c.name
+            assert c.residual >= 0.0
+            assert c.tolerance > 0.0 or ((suite, c.name) in EXACT_ROWS and c.tolerance == 0.0)
 
 
 def test_run_suites_aggregates_rows_in_order(monkeypatch):
