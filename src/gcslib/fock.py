@@ -1,6 +1,9 @@
 """Truncated number-basis numerics: ladder matrices, displacement operators
 by matrix exponential, displaced number states, expectation values, and a
-direct Schrodinger integrator.
+direct Schrodinger integrator.  On a TridiagonalHamiltonian the integrator
+diagonalises only at m nodes of the force, m chosen so that the interpolation
+bound 2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step
+operators, m dim^2 16 bytes.
 
 Everything here is an independent cross-check for the closed forms in
 states.py, so it deliberately shares no code with them.  Matrices are plain
@@ -121,8 +124,14 @@ class TridiagonalHamiltonian:
 
     Called with t it returns the dense complex matrix, like any Hamiltonian
     callable.  _propagate works on the bands instead: it samples force (a
-    vectorised t -> f(t)) once at every midpoint and diagonalises each step
-    with LAPACK's real tridiagonal dstevd.
+    vectorised t -> f(t)) once at every midpoint and interpolates the step
+    operator U(f) = exp(-i dt (diag + f off)), an entire function of f with
+    ||d^j U/df^j|| <= (dt ||X||)^j and ||X|| <= 2 max|off|.  LAPACK's real
+    tridiagonal dstevd runs only at the m Chebyshev nodes of the force range
+    [f_min, f_max] of half-width r, m the least count with
+    2 (r dt ||X||/2)^m / m! <= 1e-17, or at the distinct midpoint forces
+    when there are no more than m of them.  The m node operators take
+    m dim^2 16 bytes.
     """
 
     diag: np.ndarray
@@ -156,19 +165,60 @@ def _propagate_bands(hamiltonian, block, t0, dt, steps):
             f"force at t={mids[bad[0]]:.6g} is {forces[bad[0]]} "
             f"({bad.size} of {steps} midpoints not finite)"
         )
-    for f in forces:
+    nodes, weights = _force_nodes(forces, dt * 2.0 * np.max(np.abs(hamiltonian.off)))
+    dim, ncol = block.shape
+    eye = np.eye(dim)
+    stack = np.empty((nodes.size, dim, dim), complex)
+    for j, f in enumerate(nodes):
         evals, evecs, info = dstevd(hamiltonian.diag, f * hamiltonian.off)
         if info != 0:
             raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
-        block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
+        u = (evecs * np.exp(-1j * evals * dt)) @ evecs.T
+        # each node operator is applied up to `steps` times, so its departure
+        # from unitarity (that of evecs, ~dim eps) would add up linearly; one
+        # Newton-Schulz step takes it to roundoff
+        stack[j] = u + 0.5 * u @ (eye - u.conj().T @ u)
+    for w in weights:
+        block = (w @ (stack @ block).reshape(nodes.size, -1)).reshape(dim, ncol)
     return block
+
+
+def _force_nodes(forces, scale):
+    """Interpolation nodes in the force and each step's weights on them.
+
+    scale is |dt| ||X||.  Takes the least m with 2 (r scale/2)^m / m! <= 1e-17,
+    r the half-width of the force range; if the forces take no more than m
+    distinct values those are the nodes, and each weight row picks its own.
+    Otherwise the nodes are the m Chebyshev points of the range, and the
+    weights are the barycentric Lagrange basis at every force at once.
+    """
+    values = np.unique(forces)
+    x = 0.25 * (values[-1] - values[0]) * abs(scale)
+    m, bound = 1, 2.0 * x
+    while m < values.size and bound > 1e-17:
+        m += 1
+        bound *= x / m
+    if m == values.size:
+        return values, (forces[:, None] == values).astype(np.float64)
+    theta = (2.0 * np.arange(m) + 1.0) * np.pi / (2.0 * m)
+    nodes = 0.5 * (values[0] + values[-1]) + 0.5 * (values[-1] - values[0]) * np.cos(theta)
+    diff = forces[:, None] - nodes
+    hit = diff == 0.0
+    terms = (-1.0) ** np.arange(m) * np.sin(theta) / np.where(hit, 1.0, diff)
+    weights = terms / terms.sum(axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    weights[exact] = hit[exact]
+    return nodes, weights
 
 
 def _propagate(hamiltonian, block, t0, t1, steps):
     # exponential midpoint rule: each step applies expm(-i H(t_mid) dt)
     # through an eigendecomposition, so every step is exactly unitary up to
     # the Hermitian eigensolver's roundoff.  A TridiagonalHamiltonian takes
-    # the real banded eigensolver; any other callable the dense one.
+    # the real banded eigensolver at m force nodes only (m the least count
+    # with 2 (r dt ||X||/2)^m / m! <= 1e-17, a stack of m dim^2 16 bytes)
+    # and interpolates each step's operator between them, within that bound;
+    # any other callable takes the dense eigensolver at every step.
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     dt = (t1 - t0) / steps

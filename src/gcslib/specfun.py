@@ -41,7 +41,15 @@ def laguerre_assoc(k, m, z):
     """Generalized Laguerre polynomial L_k^m(z) for integer k >= 0, m >= 0."""
     _check_index(k, "k")
     _check_index(m, "m")
-    return float(kernels.laguerre_table(k, np.array([float(m)]), float(z))[k, 0])
+    # kernels.laguerre_table's recurrence on one column, in the same order,
+    # so the bits agree; two scalars instead of all k + 1 degrees
+    d, z = float(m), float(z)
+    if k == 0:
+        return 1.0
+    L0, L1 = 1.0, 1.0 + d - z
+    for j in range(1, k):
+        L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
+    return L1
 
 
 def laguerre(k, z):

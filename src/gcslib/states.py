@@ -194,7 +194,9 @@ def _amplitudes(n, alpha, k_max):
         if n <= k_max:
             a[n] = 1.0
         return a
-    table = laguerre_table(n, np.arange(max(k_max - n, n) + 1), z)
+    # an overflow here is reported below, as the k whose amplitude it spoils
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = laguerre_table(n, np.arange(max(k_max - n, n) + 1), z)
     if n:
         lo = np.arange(min(n, k_max + 1))
         weights = [math.exp(lw) for lw in _log_weight(lo, n - lo, z).tolist()]

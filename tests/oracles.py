@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
 
 
 def hermite_sum(n, z):
@@ -202,3 +203,22 @@ def laguerre_diagonal(n, z):
         L0, L1 = L1[1:], ((2.0 * j + 1.0 + d - z) * L1[1:] - (j + d) * L0[1:]) / (j + 1.0)
         out[j + 1] = L1[0]
     return out
+
+
+def propagate_bands_per_step(hamiltonian, block, t0, dt, steps):
+    """fock._propagate_bands before it interpolated the step operator in the
+    force: one dstevd per midpoint, kept verbatim as the reference."""
+    mids = t0 + (np.arange(steps) + 0.5) * dt
+    forces = np.asarray(hamiltonian.force(mids), dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(forces))
+    if bad.size:
+        raise ValueError(
+            f"force at t={mids[bad[0]]:.6g} is {forces[bad[0]]} "
+            f"({bad.size} of {steps} midpoints not finite)"
+        )
+    for f in forces:
+        evals, evecs, info = dstevd(hamiltonian.diag, f * hamiltonian.off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
+        block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
+    return block

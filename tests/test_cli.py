@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ def test_conflicting_alpha_forms(tmp_path, capsys):
     )
     assert code == 1
     assert "not both" in capsys.readouterr().err
+
+
+def test_amplitude_overflow_prints_only_the_error(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["photon-dist", "--n", "300", "--alpha", "30", "--kmax", "2497",
+                         "--out", str(tmp_path)])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: amplitude of k=2357 is not finite for n=300, |alpha|=30: "
+        "the Laguerre recurrence overflows"
+    ]
 
 
 def test_truncation_exit_code(tmp_path, capsys):

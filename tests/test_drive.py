@@ -295,3 +295,94 @@ def test_band_propagation_rejects_non_finite_force(bad):
     ham = drive.drive_hamiltonian(pulse, 1.0, 20)
     with pytest.raises(ValueError, match="not finite"):
         fock.schrodinger_evolve(ham, fock.number_state(1, 20), 0.0, 4.0, 100)
+
+
+def _force_pulse(kind, amp):
+    if kind == "table":
+        ts = np.linspace(0.0, 4.0, 17)
+        return drive.table_pulse(ts, amp * np.sin(1.3 * ts) * ts / 4.0)
+    if kind == "gaussian":
+        return drive.gaussian_pulse(amp, 2.5, 0.5, 0.0, 5.0)
+    if kind == "rectangular":
+        return drive.rectangular_pulse(amp, 1.0, 3.0, 0.0, 4.0)
+    return drive.sine_burst_pulse(amp, 2.0, 0.0, 4.0)
+
+
+# (pulse, amplitude, dim, steps, columns): the registry amplitudes and the
+# benchmark's shape first, then strong forces, a zero force and few steps
+_SWEEP = [
+    ("gaussian", 0.8, 48, 500, 1),
+    ("gaussian", 0.8, 120, 4000, 3),
+    ("rectangular", 0.6, 120, 2000, 3),
+    ("sine-burst", 0.5, 20, 4000, 3),
+    ("gaussian", 5.0, 20, 4000, 3),
+    ("table", 0.9, 48, 4000, 1),
+    ("table", 2.4, 60, 1000, 1),
+    ("gaussian", 20.0, 120, 300, 3),
+    ("sine-burst", 20.0, 20, 4000, 1),
+    ("rectangular", 20.0, 48, 1000, 1),
+    ("table", 20.0, 20, 2000, 3),
+    ("gaussian", 0.0, 30, 300, 3),
+    ("gaussian", 0.8, 48, 1, 1),
+    ("sine-burst", 20.0, 120, 1, 3),
+    ("sine-burst", 5.0, 48, 2, 1),
+    ("table", 5.0, 20, 7, 3),
+]
+
+
+@pytest.mark.parametrize("kind, amp, dim, steps, ncol", _SWEEP)
+def test_interpolated_steps_match_one_eigensolve_per_step(kind, amp, dim, steps, ncol):
+    pulse = _force_pulse(kind, amp)
+    ham = drive.drive_hamiltonian(pulse, 1.0, dim)
+    block = np.eye(dim, dtype=complex)[:, :ncol]
+    dt = (pulse.t1 - pulse.t0) / steps
+    got = fock._propagate_bands(ham, block, pulse.t0, dt, steps)
+    ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, dt, steps)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    # every step reuses the same node operators, so a departure from
+    # unitarity would add up linearly: the columns must keep their norm
+    assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 5e-13
+
+
+def test_force_weights_interpolate_and_pick_hit_nodes():
+    forces = 0.9 * np.sin(np.linspace(0.0, 7.0, 500))
+    nodes, weights = fock._force_nodes(forces, 0.1)
+    assert 2 < nodes.size < 20
+    assert np.all((nodes > forces.min()) & (nodes < forces.max()))
+    for degree in range(nodes.size):
+        assert_allclose(weights @ nodes**degree, forces**degree, rtol=0, atol=1e-13)
+    # a force equal to a node takes that node's operator alone
+    hit = np.append(forces, nodes[2])
+    again, weights = fock._force_nodes(hit, 0.1)
+    assert again.tobytes() == nodes.tobytes()
+    assert weights[-1].tolist() == [float(j == 2) for j in range(nodes.size)]
+
+
+def _count_eigensolves(monkeypatch, pulse, omega, dim, steps):
+    calls = []
+    real = fock.dstevd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fock, "dstevd", counting)
+    ham = drive.drive_hamiltonian(pulse, omega, dim)
+    fock.schrodinger_evolve(ham, fock.number_state(1, dim), pulse.t0, pulse.t1, steps)
+    return len(calls)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sine-burst", "table"])
+@pytest.mark.parametrize("omega", [0.8, 1.25])
+def test_benchmark_shape_takes_few_eigensolves(monkeypatch, kind, omega):
+    # gcsbench's drive workload: dim 48, 500 steps over [0, 5], |f| <= 0.9
+    pulse = _force_pulse(kind, 0.9)
+    pulse = drive.DrivePulse(pulse.name, 0.0, 5.0, pulse.pieces)
+    assert _count_eigensolves(monkeypatch, pulse, omega, 48, 500) <= 10
+
+
+def test_distinct_forces_are_the_nodes(monkeypatch):
+    rect = drive.rectangular_pulse(0.9, 1.0, 3.0, 0.0, 4.0)
+    assert _count_eigensolves(monkeypatch, rect, 1.0, 48, 500) == 2
+    gauss = _force_pulse("gaussian", 0.9)
+    assert _count_eigensolves(monkeypatch, gauss, 1.0, 48, 1) == 1

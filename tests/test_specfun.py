@@ -2,6 +2,7 @@
 high-precision oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from gcslib import specfun
+from gcslib import kernels, specfun
 
 import oracles
 
@@ -72,6 +73,31 @@ def test_laguerre_matches_explicit_sum():
                 ref = oracles.laguerre_sum(k, m, z)
                 got = specfun.laguerre_assoc(k, m, z)
                 assert abs(got - ref) / max(1.0, abs(ref)) < 1e-12
+
+
+def test_laguerre_assoc_is_the_table_entry_bit_for_bit():
+    # the scalar recurrence repeats the table's arithmetic, non-finite
+    # results (overflow to inf, then inf - inf) included
+    nonfinite = 0
+    for k in list(range(40)) + [100, 1000, 2500]:
+        for m in (0, 1, 3, 50, 300):
+            for z in (0.0, 0.5, 2.0, 30.0, 900.0, 1600.0, 1e5, 1e200):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = kernels.laguerre_table(k, [m], z)[k, 0]
+                nonfinite += not np.isfinite(ref)
+                got = specfun.laguerre_assoc(k, m, z)
+                assert np.float64(got).tobytes() == ref.tobytes(), (k, m, z)
+    assert nonfinite > 100
+
+
+def test_laguerre_assoc_memory_is_flat():
+    tracemalloc.start()
+    try:
+        specfun.laguerre_assoc(10**5, 3, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 @pytest.mark.parametrize(

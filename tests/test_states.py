@@ -4,6 +4,7 @@ expansions, photon and field statistics, coherence, completeness."""
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,13 @@ def test_non_finite_amplitudes_raise():
         states.photon_distribution(300, 30.0, 2497)
     with pytest.raises(ValueError, match="k=2357"):
         states.number_expansion(300, 30.0, 2497)
+
+
+def test_amplitude_overflow_raises_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k=2357"):
+            states._amplitudes(300, 30.0, 2497)
 
 
 def test_log_factorial_table_is_log_factorial_bit_for_bit():
