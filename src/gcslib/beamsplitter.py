@@ -80,17 +80,18 @@ def split_gcs(n, alpha, spec, omega=1.0):
 def two_mode_oracle(n, alpha, spec, dim):
     """Joint number-basis amplitudes c[j, k] of the two output arms.
 
-    Expands every split_gcs term on each arm up to level dim - 1 and sums the
-    outer products; the arm expansions raise TruncationError when dim is not
-    tail-safe for |alpha|.  Total norm of the result is 1 to 1e-10.
+    Term m of split_gcs is amp_m |m, R alpha>|n - m, T alpha>, so the joint
+    matrix is sum_m amp_m c3[m] (x) c4[n - m], one product of the arm
+    matrices: c3 and c4 hold the expansions of levels 0..n up to level
+    dim - 1 at R alpha and at T alpha, each from one
+    states.number_expansion_levels call.  Raises TruncationError when any
+    arm row captures less than 1 - 1e-10 of its mass (dim not tail-safe for
+    |alpha|).  Total norm of the result is 1 to 1e-10.
     """
-    terms = split_gcs(n, alpha, spec)
-    joint = np.zeros((dim, dim), dtype=complex)
-    for term in terms:
-        c3 = states.number_expansion(term.arm3.n, term.arm3.alpha, dim - 1)
-        c4 = states.number_expansion(term.arm4.n, term.arm4.alpha, dim - 1)
-        joint += term.amplitude * np.outer(c3, c4)
-    return joint
+    amp = np.array([term.amplitude for term in split_gcs(n, alpha, spec)])
+    c3 = states.number_expansion_levels(n, spec.R * alpha, dim - 1)
+    c4 = states.number_expansion_levels(n, spec.T * alpha, dim - 1)
+    return (c3 * amp[:, None]).T @ c4[::-1]
 
 
 def arm_marginals(joint):

@@ -212,14 +212,14 @@ def _photon_dist(args, label, grid, times):
 
 
 def _expect(args, label, grid, times):
-    # headroom past the bare tail heuristic keeps the N^2 moment clean
-    dim = args.dim or max(fock.min_dim(label.alpha, label.n) + 24, 48)
     tol = 1e-10 if args.tol is None else args.tol
     g2_value = states.g2(label.n, label.alpha)  # rejects the vacuum up front
-    vec = fock.gcs_vector(label.n, label.alpha, dim, label.omega)
+    # without --dim the oracle grows its own dim until the top levels are empty
+    vec = fock.gcs_vector(label.n, label.alpha, args.dim or None, label.omega)
+    dim = vec.dim
     _, _, num = fock.ladder_matrices(dim)
     mean_oracle = fock.expectation(num, vec, tol).real
-    second = fock.expectation(num @ num, vec, tol).real
+    second = fock.expectation(num * num, vec, tol).real
     vx, vy = states.quadrature_variances(label.n)
     params = _level(label.n, label.alpha, omega=label.omega)
     report = {

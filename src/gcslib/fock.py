@@ -1,6 +1,14 @@
 """Truncated number-basis numerics: ladder matrices, displacement operators
-by matrix exponential, displaced number states, expectation values, and a
-direct Schrodinger integrator.  On a TridiagonalHamiltonian the integrator
+from one real tridiagonal eigensolve, displaced number states, expectation
+values, and a direct Schrodinger integrator.
+
+The displacement generator alpha adag - conj(alpha) a is P (-i |alpha| X) P^H
+with P = diag(i^k e^{ik arg alpha}) and X the real symmetric tridiagonal
+matrix with zero diagonal and off-diagonal sqrt(k), whose eigenvalues are
+sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
+(1969)).  So one LAPACK dstevd, X = V Lambda V^T, gives
+D(alpha) = P V e^{-i |alpha| Lambda} V^T P^H, and a single column of it costs
+O(dim^2) after the eigensolve.  On a TridiagonalHamiltonian the integrator
 diagonalises only at m nodes of the force, m chosen so that the interpolation
 bound 2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step
 operators, m dim^2 16 bytes.
@@ -16,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.linalg.lapack import dstevd
 
 
@@ -24,34 +31,64 @@ class TruncationError(Exception):
     """The truncated dimension cannot hold the requested state safely."""
 
 
+# gcs_vector without a dim grows its dim by this factor until the top
+# TOP_LEVELS levels of the column hold at most TOP_MASS
+GROWTH, TOP_LEVELS, TOP_MASS = 1.25, 5, 1e-14
+
+
 def min_dim(alpha, n=0):
-    """Smallest dimension passing the tail guard for displacing level n by alpha.
+    """Starting dimension for displacing level n by alpha, and the least one
+    the tail guards accept.
 
     A displaced number state has essentially all its weight below
     |alpha|^2 + O(|alpha|); the margin 6|alpha| + 10 + 2n pushes the
-    neglected tail under ~1e-9 for |alpha| <= 3, n <= 5.  Callers that
-    feed the result to expectation() should add headroom.
+    neglected tail under ~1e-9 for |alpha| <= 3, n <= 5.  Beyond that range
+    it is only a starting size: gcs_vector without a dim grows from it until
+    the measured top-level mass is small enough.
     """
     a = abs(alpha)
     return int(math.floor(a * a + 6.0 * a + 10.0 + 2 * n)) + 1
 
 
-def ladder_matrices(dim):
-    """Annihilation, creation, and number matrices (a, adag, num) at size dim."""
+def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+
+
+def ladder_matrices(dim):
+    """Annihilation, creation, and number matrices (a, adag, num) at size dim.
+
+    num is the exact diagonal 0, 1, ..., dim - 1, so num * num is N^2.
+    """
+    _check_dim(dim)
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
     adag = a.conj().T.copy()
-    return a, adag, adag @ a
+    return a, adag, np.diag(np.arange(dim, dtype=complex))
+
+
+def _displacement_factors(alpha, dim):
+    """(V, phases, P) with D(alpha) = P V diag(phases) V^T P^H at size dim.
+
+    One dstevd on X (zero diagonal, off-diagonal sqrt(k)): phases are
+    e^{-i |alpha| lambda} and P = i^k e^{ik arg alpha}.
+    """
+    evals, evecs, info = dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info={info} at dim={dim}")
+    k = np.arange(dim)
+    p = np.array([1.0, 1j, -1.0, -1j])[k % 4] * np.exp(1j * k * np.angle(alpha))
+    return evecs, np.exp(-1j * abs(alpha) * evals), p
 
 
 def displacement_matrix(alpha, dim, check_tail=True):
     """Displacement operator exp(alpha adag - conj(alpha) a), truncated to dim.
 
-    Computed by scipy's scaling-and-squaring expm.  Unitary to machine
-    precision only when the tail guard dim >= min_dim(alpha) holds; pass
-    check_tail=False to inspect the raw truncated exponential anyway.  A
-    dim that is not an integer skips the guard, and ladder_matrices rejects it.
+    Computed as P V e^{-i |alpha| Lambda} V^T P^H from one real tridiagonal
+    eigensolve (see the module docstring); alpha = 0 gives the identity
+    exactly.  Unitary to machine precision only when the tail guard
+    dim >= min_dim(alpha) holds; pass check_tail=False to inspect the raw
+    truncated exponential anyway.  A dim that is not an integer skips the
+    guard and raises ValueError.
     """
     alpha = complex(alpha)
     if check_tail and isinstance(dim, (int, np.integer)) and dim < min_dim(alpha):
@@ -59,8 +96,12 @@ def displacement_matrix(alpha, dim, check_tail=True):
             f"dim={dim} too small for |alpha|={abs(alpha):.3f}; "
             f"need at least {min_dim(alpha)}"
         )
-    a, adag, _ = ladder_matrices(dim)
-    return expm(alpha * adag - np.conj(alpha) * a)
+    _check_dim(dim)
+    if alpha == 0:
+        return np.eye(dim, dtype=complex)
+    v, phases, p = _displacement_factors(alpha, dim)
+    mat = (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
+    return p[:, None] * mat * p.conj()
 
 
 @dataclass(frozen=True)
@@ -90,10 +131,24 @@ def number_state(n, dim):
     return FockVector(e)
 
 
-def gcs_vector(n, alpha, dim, omega=1.0):
-    """Displaced number state: column n of the displacement matrix."""
+def gcs_vector(n, alpha, dim=None, omega=1.0):
+    """Displaced number state D(alpha)|n>: column n of the displacement matrix.
+
+    The column is P V (e^{-i |alpha| lambda} * V[n, :]) conj(P_n), O(dim^2)
+    after the one eigensolve per dim; no dim x dim complex matrix is formed.
+    With dim None it starts at max(min_dim(alpha, n) + 24, 48) and grows by
+    GROWTH until the top TOP_LEVELS levels hold at most TOP_MASS.  A given dim
+    is used as it is, and raises TruncationError below min_dim(alpha, n).
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if dim is None:
+        dim = max(min_dim(alpha, n) + 24, 48)
+        vec = gcs_vector(n, alpha, dim, omega)
+        while vec.tail_mass(TOP_LEVELS) > TOP_MASS:
+            dim = math.ceil(GROWTH * dim)
+            vec = gcs_vector(n, alpha, dim, omega)
+        return vec
     if not n < dim / 2:
         raise TruncationError(f"n={n} too close to the truncation edge dim={dim}")
     if isinstance(dim, (int, np.integer)) and dim < min_dim(alpha, n):
@@ -101,8 +156,14 @@ def gcs_vector(n, alpha, dim, omega=1.0):
             f"dim={dim} too small for n={n}, |alpha|={abs(alpha):.3f}; "
             f"need at least {min_dim(alpha, n)}"
         )
-    mat = displacement_matrix(alpha, dim)
-    return FockVector(mat[:, n].copy(), omega)
+    _check_dim(dim)
+    alpha = complex(alpha)
+    if alpha == 0:
+        return FockVector(number_state(n, dim).coeffs, omega)
+    v, phases, p = _displacement_factors(alpha, dim)
+    w = phases * v[n] * p[n].conjugate()
+    col = v @ np.stack([w.real, w.imag], axis=1)
+    return FockVector(p * (col[:, 0] + 1j * col[:, 1]), omega)
 
 
 def expectation(op, vec, tail_tol=1e-10):

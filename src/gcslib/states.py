@@ -174,43 +174,80 @@ def _mag2(n, alpha):
     return GcsLabel(n, alpha).alpha_mag ** 2
 
 
-def _amplitudes(n, alpha, k_max):
-    """Signed real amplitudes a_0..a_{k_max} of |n, alpha>, z = |alpha|^2.
+def _amplitude_rows(n, alpha, k_max, low):
+    """Signed real amplitudes a_0..a_{k_max} of |m, alpha> for the levels
+    m = low..n, one row per level; z = |alpha|^2.
 
-    a_k = sqrt(s!/(s+d)!) e^{-z/2} z^{d/2} L_s^d(z) with s = min(n, k) and
-    d = |n - k|, so P_k = a_k^2 and c_k = a_k e^{i d theta}.  The weight is
-    taken in log space so the k ~ 100 regime neither over- nor underflows.
-    Every Laguerre value comes from one laguerre_table call over the upper
-    indices 0..max(k_max - n, n): a_k for k >= n reads row n at d = k - n,
-    and a_k for k < n reads the anti-diagonal entry [k, n - k].  Below n the
-    weight goes through math.exp, which rounds some values differently from
-    np.exp.  Raises ValueError for a bad n or alpha (GcsLabel's checks), and
-    when an amplitude is not finite: for large n and |alpha| the Laguerre
-    recurrence overflows far out in k.
+    a_k = sqrt(s!/(s+d)!) e^{-z/2} z^{d/2} L_s^d(z) with s = min(m, k) and
+    d = |m - k|, so P_k = a_k^2 and c_k = a_k e^{i d theta}.  The weight is
+    taken in log space, in one _log_weight call over every (m, k), so the
+    k ~ 100 regime neither over- nor underflows.  Every Laguerre value comes
+    from one laguerre_table call over the upper indices
+    0..max(k_max - low, n): a_k reads entry [s, d], which is row m at
+    d = k - m for k >= m and the anti-diagonal entry [k, m - k] below.  Each
+    column of the table is its own recurrence, so row m carries the bits of
+    a level-m call.  Below the level the weight goes through math.exp, which
+    rounds some values differently from np.exp.  Raises ValueError for a bad
+    n or alpha (GcsLabel's checks), and when an amplitude is not finite: for
+    large n and |alpha| the Laguerre recurrence overflows far out in k.
     """
     z = _mag2(n, alpha)
-    a = np.zeros(k_max + 1)
+    m = np.arange(low, n + 1)[:, None]
+    k = np.arange(k_max + 1)
     if z == 0.0:
-        if n <= k_max:
-            a[n] = 1.0
-        return a
+        return (k == m).astype(np.float64)
+    s, d = np.minimum(m, k), np.abs(k - m)
+    lw = _log_weight(s, d, z)
+    weights = np.exp(lw)
+    below = k < m
+    weights[below] = [math.exp(v) for v in lw[below].tolist()]
     # an overflow here is reported below, as the k whose amplitude it spoils
     with np.errstate(over="ignore", invalid="ignore"):
-        table = laguerre_table(n, np.arange(max(k_max - n, n) + 1), z)
-    if n:
-        lo = np.arange(min(n, k_max + 1))
-        weights = [math.exp(lw) for lw in _log_weight(lo, n - lo, z).tolist()]
-        a[: lo.size] = np.array(weights) * table[lo, n - lo]
-    if k_max >= n:
-        d = np.arange(k_max - n + 1)
-        a[n:] = np.exp(_log_weight(n, d, z)) * table[n, : d.size]
-    bad = np.flatnonzero(~np.isfinite(a))
+        table = laguerre_table(n, np.arange(max(k_max - low, n) + 1), z)
+        a = weights * table[s, d]
+    bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         raise ValueError(
-            f"amplitude of k={bad[0]} is not finite for n={n}, "
+            f"amplitude of k={bad[0, 1]} is not finite for n={low + bad[0, 0]}, "
             f"|alpha|={math.sqrt(z):.6g}: the Laguerre recurrence overflows"
         )
     return a
+
+
+def _amplitudes(n, alpha, k_max):
+    """Signed real amplitudes a_0..a_{k_max} of |n, alpha>: the one row of
+    _amplitude_rows at level n, from one laguerre_table call over the upper
+    indices 0..max(k_max - n, n)."""
+    return _amplitude_rows(n, alpha, k_max, n)[0]
+
+
+def _coefficients(a, low, alpha):
+    """Number-basis coefficients from the amplitude rows a of levels
+    low, low + 1, ...: c_k = a_k e^{i d theta} with theta = arg(alpha) at
+    k >= m and arg(-conj(alpha)) below, d = |m - k|.  Raises TruncationError
+    when a row captures less than 1 - 1e-10 of the mass."""
+    levels = np.arange(low, low + a.shape[0])[:, None]
+    d = np.arange(a.shape[1]) - levels
+    coeffs = a.astype(complex)
+    if abs(alpha) ** 2 != 0.0:
+        up = d >= 0
+        coeffs[up] = a[up] * np.exp(1j * d[up] * cmath.phase(alpha))
+        theta = cmath.phase(-alpha.conjugate())
+        coeffs[~up] = a[~up] * np.array(
+            [cmath.exp(1j * j * theta) for j in (-d[~up]).tolist()], dtype=complex)
+    mass = np.sum(np.abs(coeffs) ** 2, axis=1)
+    short = np.flatnonzero(~(mass >= 1.0 - 1e-10))  # a NaN mass fails here too
+    if short.size:
+        raise fock.TruncationError(
+            f"k_max={a.shape[1] - 1} captures mass {mass[short[0]]:.12f} < 1 - 1e-10 "
+            f"for n={low + short[0]}, |alpha|={abs(alpha):.3f}"
+        )
+    return coeffs
+
+
+def _check_k_max(n, k_max):
+    if not isinstance(k_max, (int, np.integer)) or k_max < n:
+        raise ValueError(f"k_max must be an integer >= n, got {k_max!r}")
 
 
 def number_expansion(n, alpha, k_max):
@@ -221,23 +258,22 @@ def number_expansion(n, alpha, k_max):
     e^{i d theta}, theta = arg(a) at k >= n and arg(-conj(a)) below.  Raises
     TruncationError when the captured mass falls below 1 - 1e-10.
     """
-    if not isinstance(k_max, (int, np.integer)) or k_max < n:
-        raise ValueError(f"k_max must be an integer >= n, got {k_max!r}")
+    _check_k_max(n, k_max)
     alpha = complex(alpha)
-    a = _amplitudes(n, alpha, k_max)
-    z = abs(alpha) ** 2
-    coeffs = a.astype(complex)
-    if z != 0.0:
-        coeffs[n:] = a[n:] * np.exp(1j * np.arange(k_max - n + 1) * cmath.phase(alpha))
-        for k in range(n):
-            coeffs[k] = a[k] * cmath.exp(1j * (n - k) * cmath.phase(-alpha.conjugate()))
-    mass = float(np.sum(np.abs(coeffs) ** 2))
-    if not mass >= 1.0 - 1e-10:  # a NaN mass fails here too
-        raise fock.TruncationError(
-            f"k_max={k_max} captures mass {mass:.12f} < 1 - 1e-10 for "
-            f"n={n}, |alpha|={abs(alpha):.3f}"
-        )
-    return coeffs
+    return _coefficients(_amplitudes(n, alpha, k_max)[None, :], n, alpha)[0]
+
+
+def number_expansion_levels(n, alpha, k_max):
+    """Row m is number_expansion(m, alpha, k_max), for every level m = 0..n.
+
+    One laguerre_table call and one log-weight pass serve all n + 1 rows, and
+    each row has the bits of its own number_expansion call.  Raises
+    TruncationError, naming the first such level, when any row captures less
+    than 1 - 1e-10 of the mass.
+    """
+    _check_k_max(n, k_max)
+    alpha = complex(alpha)
+    return _coefficients(_amplitude_rows(n, alpha, k_max, 0), 0, alpha)
 
 
 def evolved_expansion(label, t, k_max):

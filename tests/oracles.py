@@ -222,3 +222,18 @@ def propagate_bands_per_step(hamiltonian, block, t0, dt, steps):
             raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
         block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
     return block
+
+
+def two_mode_oracle_per_term(n, alpha, spec, dim):
+    """beamsplitter.two_mode_oracle before it built one amplitude matrix per
+    arm: one number_expansion per arm per term and a sum of outer products,
+    kept verbatim as the reference."""
+    from gcslib import beamsplitter, states
+
+    terms = beamsplitter.split_gcs(n, alpha, spec)
+    joint = np.zeros((dim, dim), dtype=complex)
+    for term in terms:
+        c3 = states.number_expansion(term.arm3.n, term.arm3.alpha, dim - 1)
+        c4 = states.number_expansion(term.arm4.n, term.arm4.alpha, dim - 1)
+        joint += term.amplitude * np.outer(c3, c4)
+    return joint

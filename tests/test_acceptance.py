@@ -96,7 +96,7 @@ def test_criterion_3_coherence_closed_form():
             vec = fock.gcs_vector(n, alpha, dim)
             _, _, num = fock.ladder_matrices(dim)
             mean = fock.expectation(num, vec).real
-            second = fock.expectation(num @ num, vec).real
+            second = fock.expectation(num * num, vec).real
             measured = (second - mean) / mean**2
             err = abs(states.g2(n, alpha) - measured) / abs(measured)
             if err > worst_g2:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gcslib import beamsplitter as bs
-from gcslib import states
+from gcslib import fock, states
 
 import oracles
 
@@ -139,3 +139,57 @@ def test_split_output_is_entangled_for_excited_input():
     joint0 = bs.two_mode_oracle(0, 1.0, bs.DEFAULT_SPLITTER, 30)
     svals0 = np.linalg.svd(joint0, compute_uv=False)
     assert svals0[1] < 1e-10
+
+
+def _oracle_sweep():
+    # n <= 30, |alpha| <= 6, |R|^2 in [1/4, 3/4] with R and T of any phase
+    # (unitarity fixes arg T = arg R +- pi/2), alpha = 0, and the edges
+    rng = np.random.default_rng(1101)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(0, 31))
+        alpha = cmath.rect(rng.uniform(0.0, 6.0), rng.uniform(-math.pi, math.pi))
+        r2, arg_r = rng.uniform(0.25, 0.75), rng.uniform(-math.pi, math.pi)
+        arg_t = arg_r + rng.choice([-0.5, 0.5]) * math.pi
+        cases.append((n, alpha, bs.BeamsplitterSpec(
+            cmath.rect(math.sqrt(r2), arg_r), cmath.rect(math.sqrt(1.0 - r2), arg_t))))
+    spec = bs.BeamsplitterSpec(0.6j, 0.8)
+    return cases + [(3, 0.0, spec), (30, 0.0, bs.DEFAULT_SPLITTER), (0, 6.0, spec),
+                    (30, 6.0 * cmath.exp(2.0j), spec), (20, 4.0, spec)]
+
+
+def test_arm_matrices_match_the_per_term_oracle():
+    # the old loop (one number_expansion per arm per term) as the reference,
+    # at the truncation gcs beamsplit picks
+    for n, alpha, spec in _oracle_sweep():
+        dim = max(fock.min_dim(alpha, n), 24)
+        joint = bs.two_mode_oracle(n, alpha, spec, dim)
+        ref = oracles.two_mode_oracle_per_term(n, alpha, spec, dim)
+        assert np.max(np.abs(joint - ref)) <= 1e-15, (n, alpha, spec)
+
+
+def test_two_mode_oracle_builds_one_table_per_arm(monkeypatch):
+    calls = {"laguerre_table": 0, "number_expansion": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(states, name, counted(name, getattr(states, name)))
+    bs.two_mode_oracle(12, 2.0 + 1.0j, bs.BeamsplitterSpec(0.6j, 0.8), 60)
+    assert calls == {"laguerre_table": 2, "number_expansion": 0}
+
+
+def test_two_mode_oracle_guards_every_arm_row():
+    # at |T alpha| = 2.04 and dim 30 only the top row of arm 4 (level 3)
+    # misses more than 1e-10 of its mass (1.4e-10); the per-term loop raised
+    # there too
+    spec = bs.BeamsplitterSpec(math.sqrt(0.1) * 1j, math.sqrt(0.9))
+    with pytest.raises(fock.TruncationError, match="for n=3, "):
+        bs.two_mode_oracle(3, 2.15, spec, 30)
+    with pytest.raises(fock.TruncationError):
+        oracles.two_mode_oracle_per_term(3, 2.15, spec, 30)
+    bs.two_mode_oracle(3, 2.1, spec, 30)

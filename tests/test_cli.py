@@ -150,6 +150,38 @@ def test_expect_report(tmp_path, capsys):
     assert manifest["tolerances"] == {"tail": 1e-10}
 
 
+@pytest.mark.parametrize("n,alpha,dim", [(50, 10, 369), (100, 15, 860)])
+def test_expect_grows_dim_past_the_starting_size(tmp_path, capsys, n, alpha, dim):
+    # the starting size min_dim + 24 (295, 550) leaves 1.2e-2 and 2.4e-3 of
+    # the mass in the last level, which used to exit 3
+    out = tmp_path / "e"
+    assert cli.main(["expect", "--n", str(n), "--alpha", str(alpha), "--out", str(out)]) == 0
+    rep = _read_json(out / "expect.json")
+    z = alpha * alpha
+    assert_allclose(rep["mean_photon_oracle"], n + z, rtol=1e-12)
+    assert_allclose(rep["photon_variance_oracle"], (2 * n + 1) * z, rtol=1e-12)
+    assert _read_json(out / "manifest.json")["truncation_dimension"] == dim
+
+
+def test_expect_oracle_at_a_grown_dim_is_clean(tmp_path, capsys):
+    # at (20, 6) the starting dim 147 keeps 4.5e-13 in its top five levels;
+    # it grows to 184, where the variance is within 1e-14 relative (2.6e-14
+    # at 147)
+    out = tmp_path / "e"
+    assert cli.main(["expect", "--n", "20", "--alpha", "6", "--out", str(out)]) == 0
+    rep = _read_json(out / "expect.json")
+    assert abs(rep["mean_photon_oracle"] - 56.0) <= 1e-12
+    assert abs(rep["photon_variance_oracle"] - 41 * 36.0) <= 1e-14 * 41 * 36.0
+    assert _read_json(out / "manifest.json")["truncation_dimension"] == 184
+
+
+def test_expect_with_dim_does_not_grow(tmp_path, capsys):
+    code = cli.main(["expect", "--n", "50", "--alpha", "10", "--dim", "295",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert "tail mass 1.162e-02 exceeds" in capsys.readouterr().err
+
+
 def test_expect_rejects_vacuum(tmp_path, capsys):
     assert cli.main(["expect", "--n", "0", "--alpha", "0", "--out", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err

@@ -59,6 +59,50 @@ def test_displacement_unitary_block():
     assert np.max(np.abs(gram[:30, :30] - np.eye(30))) < 1e-10
 
 
+@pytest.mark.parametrize("alpha,dim", [
+    (0.3, 24), (1.1 - 0.6j, 40), (3.0 * np.exp(2.5j), 97), (-5.0 + 4.0j, 180),
+    (8.5 * np.exp(-1.2j), 300),
+])
+def test_displacement_matches_expm_oracle(alpha, dim):
+    # the eigensolve form against scipy's expm of the dense generator
+    ref = oracles.displacement_dense(alpha, dim)
+    assert np.max(np.abs(fock.displacement_matrix(alpha, dim) - ref)) <= 1e-13
+    for n in (0, 1, dim // 4):
+        assert np.max(np.abs(fock.gcs_vector(n, alpha, dim).coeffs - ref[:, n])) <= 1e-13
+
+
+def test_gcs_vector_one_eigensolve_per_dim(monkeypatch):
+    dims = []
+    real = fock.dstevd
+
+    def counted(d, e, *args):
+        dims.append(d.shape[0])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(fock, "dstevd", counted)
+    assert fock.gcs_vector(2, 1.5, 40).dim == 40
+    assert dims == [40]
+    dims.clear()
+    # (20, 6) starts at min_dim + 24 = 147, whose top five levels hold
+    # 4.5e-13, and grows once by 1.25x
+    assert fock.gcs_vector(20, 6.0).dim == 184
+    assert dims == [147, 184]
+
+
+def test_gcs_vector_grows_until_the_top_levels_are_empty():
+    # the dims tried are start, ceil(1.25 start), ...; the last one is the
+    # first whose top five levels hold <= 1e-14
+    for n, alpha, start in ((20, 6.0, 147), (50, 10.0, 295), (4, 0.5, 48)):
+        tried = [start]
+        vec = fock.gcs_vector(n, alpha)
+        while tried[-1] < vec.dim:
+            tried.append(math.ceil(1.25 * tried[-1]))
+        assert tried[-1] == vec.dim
+        assert vec.tail_mass(5) <= 1e-14
+        for dim in tried[:-1]:
+            assert fock.gcs_vector(n, alpha, dim).tail_mass(5) > 1e-14
+
+
 def test_displacement_small_dim_trips_tail_check():
     with pytest.raises(fock.TruncationError):
         fock.displacement_matrix(3.0, 12)

@@ -324,6 +324,28 @@ def test_one_amplitude_routine_behind_probabilities_and_coefficients(n, mag, pha
     assert np.max(np.abs(np.abs(coeffs) ** 2 - probs)) <= 1e-14 * np.max(probs)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 100),
+    mag=st.floats(0.0, 15.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_number_expansion_matches_the_fock_oracle_or_raises(n, mag, phase):
+    # the Fock oracle grows its own dim until its top five levels hold
+    # <= 1e-14, so above min_dim's stated range it is still a reference.
+    # That bounds their mass, not their error: truncation shifts the top
+    # amplitudes by up to ~1e-8 (4.9e-9 at n = 50, |alpha| = 12.93, dim
+    # 474), so the reference is the column one growth step further, whose
+    # top levels are empty.  The closed form agrees with it to 1e-12 or raises.
+    alpha = cmath.rect(mag, phase)
+    dim = math.ceil(1.25 * fock.gcs_vector(n, alpha).dim)
+    try:
+        coeffs = states.number_expansion(n, alpha, dim - 1)
+    except (ValueError, fock.TruncationError):
+        return
+    assert np.max(np.abs(coeffs - fock.gcs_vector(n, alpha, dim).coeffs)) <= 1e-12
+
+
 def test_non_finite_amplitudes_raise():
     # far out in k the Laguerre recurrence at degree 300 overflows
     with pytest.raises(ValueError, match=r"k=2357 is not finite for n=300, \|alpha\|=30"):
