@@ -216,10 +216,12 @@ def _expect(args, label, grid, times):
     g2_value = states.g2(label.n, label.alpha)  # rejects the vacuum up front
     # without --dim the oracle grows its own dim until the top levels are empty
     vec = fock.gcs_vector(label.n, label.alpha, args.dim or None, label.omega)
-    dim = vec.dim
-    _, _, num = fock.ladder_matrices(dim)
-    mean_oracle = fock.expectation(num, vec, tol).real
-    second = fock.expectation(num * num, vec, tol).real
+    vec.guard_tail(tol)
+    # N is diagonal in the number basis: its moments are sums over |c_k|^2 k^j
+    c, k = vec.coeffs, np.arange(float(vec.dim))
+    norm = np.vdot(c, c)
+    mean_oracle = complex(np.vdot(c, k * c) / norm).real
+    second = complex(np.vdot(c, k * k * c) / norm).real
     vx, vy = states.quadrature_variances(label.n)
     params = _level(label.n, label.alpha, omega=label.omega)
     report = {
@@ -238,7 +240,7 @@ def _expect(args, label, grid, times):
         "position_expectation_t0": states.position_expectation(label, 0.0),
         "momentum_expectation_t0": states.momentum_expectation(label, 0.0),
     }
-    return Output(params, report=report, dim=dim, tail_mass=vec.tail_mass(),
+    return Output(params, report=report, dim=vec.dim, tail_mass=vec.tail_mass(),
                   tolerances={"tail": tol})
 
 

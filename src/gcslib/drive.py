@@ -218,13 +218,12 @@ def position_matrix(omega, dim):
 def drive_hamiltonian(pulse, omega, dim):
     """H0 + f(t) x for direct Schrodinger integration.
 
-    A fock.TridiagonalHamiltonian: called with t it gives the dense matrix;
-    its bands are (k + 1/2) omega and f(t) sqrt(k + 1)/sqrt(2 omega), which
-    fock._propagate integrates without forming it.  It diagonalises the
-    bands only at m force nodes, m the least count with
-    2 (r dt ||X||/2)^m / m! <= 1e-17 (r the half-width of the force range,
-    ||X|| <= 2 sqrt((dim - 1)/(2 omega))), and keeps m dim^2 16 bytes of
-    step operators.
+    A fock.TridiagonalHamiltonian with bands (k + 1/2) omega and
+    f(t) sqrt(k + 1)/sqrt(2 omega), which fock._propagate integrates without
+    forming the dense matrix.  It diagonalises the bands only at m force
+    nodes, m the least count with 2 (r dt ||X||/2)^m / m! <= 1e-17 (r the
+    half-width of the force range, ||X|| <= 2 sqrt((dim - 1)/(2 omega))), and
+    keeps m dim^2 16 bytes of step operators.
     """
     _check_omega(omega)
     return fock.TridiagonalHamiltonian(
@@ -234,43 +233,33 @@ def drive_hamiltonian(pulse, omega, dim):
     )
 
 
-def _development(pulse, omega, dim, z1, b1):
-    disp = fock.displacement_matrix(z1 * np.exp(-1j * omega * pulse.t1), dim)
-    free = np.exp(-1j * (np.arange(dim) + 0.5) * omega * (pulse.t1 - pulse.t0))
-    return np.exp(1j * b1) * (disp * free[None, :])
-
-
 def time_development(pulse, omega, dim):
     """Unitary propagator from t0 to t1: e^{i beta} D(zeta e^{-i w t1}) e^{-i H0 dt}.
 
     dim must be tail-safe for |zeta| (TruncationError otherwise).
     """
     z1 = zeta(pulse, omega, pulse.t1)
-    return _development(pulse, omega, dim, z1, beta_phase(pulse, omega, pulse.t1))
-
-
-def _check_level(n, dim):
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if not n < dim / 2:
-        raise fock.TruncationError(f"n={n} too close to the truncation edge dim={dim}")
+    b1 = beta_phase(pulse, omega, pulse.t1)
+    disp = fock.displacement_matrix(z1 * np.exp(-1j * omega * pulse.t1), dim)
+    free = np.exp(-1j * (np.arange(dim) + 0.5) * omega * (pulse.t1 - pulse.t0))
+    return np.exp(1j * b1) * (disp * free[None, :])
 
 
 def drive_number_state(n, pulse, omega, dim):
     """Drive level n through the pulse; returns (final vector, predicted label).
 
-    The label (n, zeta(t1)) is in the canonical t=0 convention: its
-    coefficients at time t1 are number_expansion values times the
-    e^{-i(k+1/2) w t1} phases, and they agree with the returned vector up to
-    a global phase.
+    The vector is column n of time_development, taken alone.  The label
+    (n, zeta(t1)) is in the canonical t=0 convention: its coefficients at
+    time t1 are number_expansion values times the e^{-i(k+1/2) w t1} phases,
+    and they agree with the returned vector up to a global phase.  dim must
+    be tail-safe for level n at |zeta| (TruncationError otherwise).
     """
-    _check_level(n, dim)
     z1 = zeta(pulse, omega, pulse.t1)
     return _driven_state(n, pulse, omega, dim, z1, beta_phase(pulse, omega, pulse.t1))
 
 
 def _driven_state(n, pulse, omega, dim, z1, b1):
     # drive_number_state for a caller that already holds zeta(t1) and beta(t1)
-    _check_level(n, dim)
-    op = _development(pulse, omega, dim, z1, b1)
-    return fock.FockVector(op[:, n].copy(), omega), GcsLabel(n, z1, omega)
+    col = fock.gcs_vector(n, z1 * np.exp(-1j * omega * pulse.t1), dim, omega)
+    free = np.exp(-1j * (n + 0.5) * omega * (pulse.t1 - pulse.t0))
+    return fock.FockVector(np.exp(1j * b1) * (col.coeffs * free), omega), GcsLabel(n, z1, omega)

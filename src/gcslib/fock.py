@@ -1,17 +1,18 @@
-"""Truncated number-basis numerics: ladder matrices, displacement operators
-from one real tridiagonal eigensolve, displaced number states, expectation
-values, and a direct Schrodinger integrator.
+"""Truncated number-basis numerics: ladder matrices, displaced number states
+from one real tridiagonal eigensolve, expectation values, and a banded
+Schrodinger integrator.
 
 The displacement generator alpha adag - conj(alpha) a is P (-i |alpha| X) P^H
 with P = diag(i^k e^{ik arg alpha}) and X the real symmetric tridiagonal
 matrix with zero diagonal and off-diagonal sqrt(k), whose eigenvalues are
 sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
 (1969)).  So one LAPACK dstevd, X = V Lambda V^T, gives
-D(alpha) = P V e^{-i |alpha| Lambda} V^T P^H, and a single column of it costs
-O(dim^2) after the eigensolve.  On a TridiagonalHamiltonian the integrator
-diagonalises only at m nodes of the force, m chosen so that the interpolation
-bound 2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step
-operators, m dim^2 16 bytes.
+D(alpha) = P V e^{-i |alpha| Lambda} V^T P^H; one guarded routine forms any
+set of its columns, a single one in O(dim^2) after the eigensolve.  The
+integrator takes a TridiagonalHamiltonian only: it diagonalises at m nodes
+of the force, m chosen so that the interpolation bound
+2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step operators,
+m dim^2 16 bytes.
 
 Everything here is an independent cross-check for the closed forms in
 states.py, so it deliberately shares no code with them.  Matrices are plain
@@ -32,8 +33,11 @@ class TruncationError(Exception):
 
 
 # gcs_vector without a dim grows its dim by this factor until the top
-# TOP_LEVELS levels of the column hold at most TOP_MASS
+# TOP_LEVELS levels of the column hold at most TOP_MASS.  No dim above
+# MAX_DIM is accepted: the eigensolve holds two dim^2 float64 arrays and a
+# displacement matrix 16 dim^2 bytes, 1 GiB at the cap.
 GROWTH, TOP_LEVELS, TOP_MASS = 1.25, 5, 1e-14
+MAX_DIM = 8192
 
 
 def min_dim(alpha, n=0):
@@ -44,15 +48,25 @@ def min_dim(alpha, n=0):
     |alpha|^2 + O(|alpha|); the margin 6|alpha| + 10 + 2n pushes the
     neglected tail under ~1e-9 for |alpha| <= 3, n <= 5.  Beyond that range
     it is only a starting size: gcs_vector without a dim grows from it until
-    the measured top-level mass is small enough.
+    the measured top-level mass is small enough.  Raises ValueError for a
+    non-finite alpha and TruncationError when the size is above MAX_DIM.
     """
     a = abs(alpha)
-    return int(math.floor(a * a + 6.0 * a + 10.0 + 2 * n)) + 1
+    if not math.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    need = a * a + 6.0 * a + 10.0 + 2 * n
+    if need >= MAX_DIM:
+        raise TruncationError(
+            f"n={n}, |alpha|={a:.6g} needs dim > {need:.6g}, above MAX_DIM={MAX_DIM}"
+        )
+    return int(math.floor(need)) + 1
 
 
 def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    if dim > MAX_DIM:
+        raise TruncationError(f"dim={dim} is above MAX_DIM={MAX_DIM}")
 
 
 def ladder_matrices(dim):
@@ -66,42 +80,45 @@ def ladder_matrices(dim):
     return a, adag, np.diag(np.arange(dim, dtype=complex))
 
 
-def _displacement_factors(alpha, dim):
-    """(V, phases, P) with D(alpha) = P V diag(phases) V^T P^H at size dim.
+def _displaced_columns(alpha, dim, n, cols):
+    """Columns cols of D(alpha) at size dim, guarded for displacing level n.
 
-    One dstevd on X (zero diagonal, off-diagonal sqrt(k)): phases are
-    e^{-i |alpha| lambda} and P = i^k e^{ik arg alpha}.
+    The one tail guard: TruncationError unless n < dim/2 and
+    dim >= min_dim(alpha, n).  One dstevd on X (zero diagonal, off-diagonal
+    sqrt(k)) and one real product form P V (e^{-i |alpha| lambda} * V[cols]^T)
+    P[cols]^H, P = i^k e^{ik arg alpha}; alpha = 0 gives identity columns
+    exactly.
     """
-    evals, evecs, info = dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    _check_dim(dim)
+    if not n < dim / 2:
+        raise TruncationError(f"n={n} too close to the truncation edge dim={dim}")
+    need = min_dim(alpha, n)
+    if dim < need:
+        raise TruncationError(
+            f"dim={dim} too small for n={n}, |alpha|={abs(alpha):.3f}; need at least {need}"
+        )
+    alpha = complex(alpha)
+    if alpha == 0:
+        return np.eye(dim, dtype=complex)[:, cols]
+    evals, v, info = dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info={info} at dim={dim}")
     k = np.arange(dim)
     p = np.array([1.0, 1j, -1.0, -1j])[k % 4] * np.exp(1j * k * np.angle(alpha))
-    return evecs, np.exp(-1j * abs(alpha) * evals), p
+    w = np.exp(-1j * abs(alpha) * evals)[:, None] * v[cols].T * p[cols].conj()
+    out = v @ np.concatenate([w.real, w.imag], axis=1)
+    m = w.shape[1]
+    return p[:, None] * (out[:, :m] + 1j * out[:, m:])
 
 
-def displacement_matrix(alpha, dim, check_tail=True):
+def displacement_matrix(alpha, dim):
     """Displacement operator exp(alpha adag - conj(alpha) a), truncated to dim.
 
-    Computed as P V e^{-i |alpha| Lambda} V^T P^H from one real tridiagonal
-    eigensolve (see the module docstring); alpha = 0 gives the identity
-    exactly.  Unitary to machine precision only when the tail guard
-    dim >= min_dim(alpha) holds; pass check_tail=False to inspect the raw
-    truncated exponential anyway.  A dim that is not an integer skips the
-    guard and raises ValueError.
+    Every column of the eigensolve form (see the module docstring); alpha = 0
+    gives the identity exactly.  Raises TruncationError below min_dim(alpha),
+    where the truncated operator is no longer unitary to machine precision.
     """
-    alpha = complex(alpha)
-    if check_tail and isinstance(dim, (int, np.integer)) and dim < min_dim(alpha):
-        raise TruncationError(
-            f"dim={dim} too small for |alpha|={abs(alpha):.3f}; "
-            f"need at least {min_dim(alpha)}"
-        )
-    _check_dim(dim)
-    if alpha == 0:
-        return np.eye(dim, dtype=complex)
-    v, phases, p = _displacement_factors(alpha, dim)
-    mat = (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
-    return p[:, None] * mat * p.conj()
+    return _displaced_columns(alpha, dim, 0, slice(None))
 
 
 @dataclass(frozen=True)
@@ -122,6 +139,13 @@ class FockVector:
         """Probability sitting in the top `count` basis levels."""
         return float(np.sum(np.abs(self.coeffs[-count:]) ** 2))
 
+    def guard_tail(self, tol):
+        """Raise TruncationError when the top level holds more than tol."""
+        if self.tail_mass() > tol:
+            raise TruncationError(
+                f"tail mass {self.tail_mass():.3e} exceeds {tol:.1e}; enlarge dim"
+            )
+
 
 def number_state(n, dim):
     if n >= dim:
@@ -134,11 +158,11 @@ def number_state(n, dim):
 def gcs_vector(n, alpha, dim=None, omega=1.0):
     """Displaced number state D(alpha)|n>: column n of the displacement matrix.
 
-    The column is P V (e^{-i |alpha| lambda} * V[n, :]) conj(P_n), O(dim^2)
-    after the one eigensolve per dim; no dim x dim complex matrix is formed.
-    With dim None it starts at max(min_dim(alpha, n) + 24, 48) and grows by
-    GROWTH until the top TOP_LEVELS levels hold at most TOP_MASS.  A given dim
-    is used as it is, and raises TruncationError below min_dim(alpha, n).
+    O(dim^2) after the one eigensolve per dim; no dim x dim complex matrix is
+    formed.  With dim None it starts at max(min_dim(alpha, n) + 24, 48) and
+    grows by GROWTH until the top TOP_LEVELS levels hold at most TOP_MASS,
+    raising TruncationError if that takes a dim above MAX_DIM.  A given dim is
+    used as it is, and raises TruncationError below min_dim(alpha, n).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -147,23 +171,15 @@ def gcs_vector(n, alpha, dim=None, omega=1.0):
         vec = gcs_vector(n, alpha, dim, omega)
         while vec.tail_mass(TOP_LEVELS) > TOP_MASS:
             dim = math.ceil(GROWTH * dim)
+            if dim > MAX_DIM:
+                raise TruncationError(
+                    f"n={n}, |alpha|={abs(alpha):.6g}: the top {TOP_LEVELS} levels "
+                    f"hold {vec.tail_mass(TOP_LEVELS):.3e} at dim={vec.dim}, and the "
+                    f"next dim {dim} is above MAX_DIM={MAX_DIM}"
+                )
             vec = gcs_vector(n, alpha, dim, omega)
         return vec
-    if not n < dim / 2:
-        raise TruncationError(f"n={n} too close to the truncation edge dim={dim}")
-    if isinstance(dim, (int, np.integer)) and dim < min_dim(alpha, n):
-        raise TruncationError(
-            f"dim={dim} too small for n={n}, |alpha|={abs(alpha):.3f}; "
-            f"need at least {min_dim(alpha, n)}"
-        )
-    _check_dim(dim)
-    alpha = complex(alpha)
-    if alpha == 0:
-        return FockVector(number_state(n, dim).coeffs, omega)
-    v, phases, p = _displacement_factors(alpha, dim)
-    w = phases * v[n] * p[n].conjugate()
-    col = v @ np.stack([w.real, w.imag], axis=1)
-    return FockVector(p * (col[:, 0] + 1j * col[:, 1]), omega)
+    return FockVector(_displaced_columns(alpha, dim, n, [n])[:, 0], omega)
 
 
 def expectation(op, vec, tail_tol=1e-10):
@@ -171,10 +187,7 @@ def expectation(op, vec, tail_tol=1e-10):
     op = np.asarray(op)
     if op.shape != (vec.dim, vec.dim):
         raise ValueError(f"operator shape {op.shape} does not match dim {vec.dim}")
-    if vec.tail_mass() > tail_tol:
-        raise TruncationError(
-            f"tail mass {vec.tail_mass():.3e} exceeds {tail_tol:.1e}; enlarge dim"
-        )
+    vec.guard_tail(tail_tol)
     c = vec.coeffs
     return complex(np.vdot(c, op @ c) / np.vdot(c, c))
 
@@ -183,8 +196,7 @@ def expectation(op, vec, tail_tol=1e-10):
 class TridiagonalHamiltonian:
     """Real symmetric tridiagonal H(t): diag on the diagonal, force(t) * off beside it.
 
-    Called with t it returns the dense complex matrix, like any Hamiltonian
-    callable.  _propagate works on the bands instead: it samples force (a
+    The only Hamiltonian the integrator takes.  _propagate samples force (a
     vectorised t -> f(t)) once at every midpoint and interpolates the step
     operator U(f) = exp(-i dt (diag + f off)), an entire function of f with
     ||d^j U/df^j|| <= (dt ||X||)^j and ||X|| <= 2 max|off|.  LAPACK's real
@@ -211,13 +223,18 @@ class TridiagonalHamiltonian:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "off", off)
 
-    def __call__(self, t):
-        f = float(self.force(t))
-        h = np.diag(self.diag) + np.diag(f * self.off, 1) + np.diag(f * self.off, -1)
-        return h.astype(complex)
 
-
-def _propagate_bands(hamiltonian, block, t0, dt, steps):
+def _propagate(hamiltonian, block, t0, t1, steps):
+    # exponential midpoint rule: each step applies exp(-i H(t_mid) dt),
+    # interpolated between the node operators (see TridiagonalHamiltonian)
+    if not isinstance(hamiltonian, TridiagonalHamiltonian):
+        raise TypeError(
+            f"hamiltonian must be a TridiagonalHamiltonian, got {type(hamiltonian).__name__}"
+        )
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    dt = (t1 - t0) / steps
+    block = np.asarray(block, complex)
     mids = t0 + (np.arange(steps) + 0.5) * dt
     forces = np.asarray(hamiltonian.force(mids), dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(forces))
@@ -272,40 +289,13 @@ def _force_nodes(forces, scale):
     return nodes, weights
 
 
-def _propagate(hamiltonian, block, t0, t1, steps):
-    # exponential midpoint rule: each step applies expm(-i H(t_mid) dt)
-    # through an eigendecomposition, so every step is exactly unitary up to
-    # the Hermitian eigensolver's roundoff.  A TridiagonalHamiltonian takes
-    # the real banded eigensolver at m force nodes only (m the least count
-    # with 2 (r dt ||X||/2)^m / m! <= 1e-17, a stack of m dim^2 16 bytes)
-    # and interpolates each step's operator between them, within that bound;
-    # any other callable takes the dense eigensolver at every step.
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    dt = (t1 - t0) / steps
-    block = np.asarray(block, complex).copy()
-    if isinstance(hamiltonian, TridiagonalHamiltonian):
-        return _propagate_bands(hamiltonian, block, t0, dt, steps)
-    for i in range(steps):
-        h = np.asarray(hamiltonian(t0 + (i + 0.5) * dt))
-        skew = float(np.max(np.abs(h - h.conj().T)))
-        if skew > 1e-10:
-            raise ValueError(
-                f"hamiltonian(t={t0 + (i + 0.5) * dt:.6g}) is not Hermitian "
-                f"(max asymmetry {skew:.3e})"
-            )
-        evals, evecs = np.linalg.eigh(h)
-        block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.conj().T @ block))
-    return block
-
-
 def schrodinger_evolve(hamiltonian, vec, t0, t1, steps):
     """Integrate i d|v>/dt = H(t)|v> from t0 to t1 with a midpoint exponential.
 
-    hamiltonian is a callable t -> (dim, dim) Hermitian ndarray, or a
-    TridiagonalHamiltonian, which is integrated on its bands.  Raises if a
-    sampled H fails a 1e-10 Hermiticity check (a non-finite force for the
-    bands), or if the final norm drifts from the initial one by more than 1e-8.
+    hamiltonian must be a TridiagonalHamiltonian (TypeError otherwise); it is
+    integrated on its bands.  Raises ValueError on a non-finite force at a
+    midpoint, and RuntimeError if the final norm drifts from the initial one
+    by more than 1e-8.
     """
     out = _propagate(hamiltonian, vec.coeffs[:, None], t0, t1, steps)[:, 0]
     drift = abs(float(np.linalg.norm(out)) - vec.norm())

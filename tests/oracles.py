@@ -206,7 +206,7 @@ def laguerre_diagonal(n, z):
 
 
 def propagate_bands_per_step(hamiltonian, block, t0, dt, steps):
-    """fock._propagate_bands before it interpolated the step operator in the
+    """fock._propagate before it interpolated the step operator in the
     force: one dstevd per midpoint, kept verbatim as the reference."""
     mids = t0 + (np.arange(steps) + 0.5) * dt
     forces = np.asarray(hamiltonian.force(mids), dtype=np.float64)
@@ -221,6 +221,33 @@ def propagate_bands_per_step(hamiltonian, block, t0, dt, steps):
         if info != 0:
             raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
         block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
+    return block
+
+
+def tridiagonal_dense(hamiltonian, t):
+    """The dense complex matrix of a fock.TridiagonalHamiltonian at time t."""
+    f = float(hamiltonian.force(t))
+    off = f * hamiltonian.off
+    h = np.diag(hamiltonian.diag) + np.diag(off, 1) + np.diag(off, -1)
+    return h.astype(complex)
+
+
+def propagate_dense_per_step(hamiltonian, block, t0, t1, steps):
+    """The exponential midpoint rule with one dense Hermitian eigensolve per
+    step, for any callable t -> (dim, dim) matrix: fock's propagator before
+    it took a TridiagonalHamiltonian only, kept verbatim as the reference."""
+    dt = (t1 - t0) / steps
+    block = np.asarray(block, complex).copy()
+    for i in range(steps):
+        h = np.asarray(hamiltonian(t0 + (i + 0.5) * dt))
+        skew = float(np.max(np.abs(h - h.conj().T)))
+        if skew > 1e-10:
+            raise ValueError(
+                f"hamiltonian(t={t0 + (i + 0.5) * dt:.6g}) is not Hermitian "
+                f"(max asymmetry {skew:.3e})"
+            )
+        evals, evecs = np.linalg.eigh(h)
+        block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.conj().T @ block))
     return block
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gcslib import cli, drive, states
+from gcslib import cli, drive, fock, states
 
 TAU = 2.0 * math.pi
 
@@ -182,6 +182,17 @@ def test_expect_with_dim_does_not_grow(tmp_path, capsys):
     assert "tail mass 1.162e-02 exceeds" in capsys.readouterr().err
 
 
+def test_expect_above_the_dim_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # |alpha| = 200 would start the oracle at dim ~41,000 (two 13 GB arrays)
+    def no_eigensolve(*args):
+        raise AssertionError("dstevd must not run")
+
+    monkeypatch.setattr(fock, "dstevd", no_eigensolve)
+    code = cli.main(["expect", "--alpha", "200", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "needs dim > 41212, above MAX_DIM=8192" in capsys.readouterr().err
+
+
 def test_expect_rejects_vacuum(tmp_path, capsys):
     assert cli.main(["expect", "--n", "0", "--alpha", "0", "--out", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
@@ -255,6 +266,16 @@ def test_drive_report(tmp_path, capsys):
     assert abs(pred - z1) < 1e-12
     manifest = _read_json(out / "manifest.json")
     assert manifest["tolerances"]["fidelity"] == 1e-6
+
+
+def test_drive_dim_guard_counts_the_level(tmp_path, capsys):
+    # the default pulse gives |zeta| = 0.626, so min_dim(zeta) = 15 and
+    # min_dim(zeta, 3) = 21: level 3 needs dim 21, and 20 exits 3
+    base = ["drive", "--n", "3", "--steps", "50", "--out", str(tmp_path / "o")]
+    assert cli.main([*base, "--dim", "20"]) == 3
+    assert "dim=20 too small for n=3" in capsys.readouterr().err
+    assert cli.main([*base, "--dim", "21"]) == 0
+    assert _read_json(tmp_path / "o" / "manifest.json")["truncation_dimension"] == 21
 
 
 def test_drive_table_pulse(tmp_path, capsys):

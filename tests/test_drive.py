@@ -260,6 +260,18 @@ def test_drive_rejects_cramped_level():
         drive.drive_number_state(-1, pulse, 1.0, 20)
 
 
+@pytest.mark.parametrize("dim", [40, 48, 120])
+def test_driven_state_is_column_n_of_time_development(dim):
+    # drive_number_state forms column n alone; time_development forms them all
+    omega = 1.0
+    for pulse in verify._registry_pulses():
+        op = drive.time_development(pulse, omega, dim)
+        for n in range(4):
+            vec, label = drive.drive_number_state(n, pulse, omega, dim)
+            assert np.max(np.abs(vec.coeffs - op[:, n])) <= 1e-15
+            assert label.n == n and label.alpha == drive.zeta(pulse, omega, pulse.t1)
+
+
 def test_drive_hamiltonian_bands_build_the_dense_matrix():
     pulse = drive.gaussian_pulse(0.8, 2.5, 0.5, 0.0, 5.0)
     omega, dim = 1.3, 30
@@ -269,7 +281,7 @@ def test_drive_hamiltonian_bands_build_the_dense_matrix():
     x = drive.position_matrix(omega, dim)
     for t in (0.0, 2.2, 2.5, 5.0):
         dense = np.diag((np.arange(dim) + 0.5) * omega) + pulse(t) * x
-        assert_allclose(ham(t), dense, rtol=1e-15, atol=0)
+        assert_allclose(oracles.tridiagonal_dense(ham, t), dense, rtol=1e-15, atol=0)
 
 
 def _band_pulses():
@@ -283,7 +295,9 @@ def test_band_propagation_matches_dense_path(pulse):
     ham = drive.drive_hamiltonian(pulse, 1.0, dim)
     block = np.eye(dim, dtype=complex)[:, :3]
     banded = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
-    dense = fock._propagate(lambda t: ham(t), block, pulse.t0, pulse.t1, steps)
+    dense = oracles.propagate_dense_per_step(
+        lambda t: oracles.tridiagonal_dense(ham, t), block, pulse.t0, pulse.t1, steps
+    )
     assert np.max(np.abs(banded - dense)) <= 1e-12
 
 
@@ -336,7 +350,7 @@ def test_interpolated_steps_match_one_eigensolve_per_step(kind, amp, dim, steps,
     ham = drive.drive_hamiltonian(pulse, 1.0, dim)
     block = np.eye(dim, dtype=complex)[:, :ncol]
     dt = (pulse.t1 - pulse.t0) / steps
-    got = fock._propagate_bands(ham, block, pulse.t0, dt, steps)
+    got = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
     ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, dt, steps)
     assert np.max(np.abs(got - ref)) <= 1e-12
     # every step reuses the same node operators, so a departure from

@@ -106,7 +106,72 @@ def test_gcs_vector_grows_until_the_top_levels_are_empty():
 def test_displacement_small_dim_trips_tail_check():
     with pytest.raises(fock.TruncationError):
         fock.displacement_matrix(3.0, 12)
-    fock.displacement_matrix(3.0, 12, check_tail=False)  # escape hatch
+
+
+@pytest.mark.parametrize("alpha,dim", [
+    (0.0, 12), (0.3, 24), (1.1 - 0.6j, 40), (3.0 * np.exp(2.5j), 97), (-5.0 + 4.0j, 180),
+])
+def test_displacement_columns_are_gcs_vectors(alpha, dim):
+    mat = fock.displacement_matrix(alpha, dim)
+    for n in range(dim // 2):
+        if dim >= fock.min_dim(alpha, n):
+            assert np.max(np.abs(mat[:, n] - fock.gcs_vector(n, alpha, dim).coeffs)) <= 1e-15
+
+
+def _no_eigensolve(*args):
+    raise AssertionError("dstevd must not run")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fock.min_dim(1e200),
+    lambda: fock.displacement_matrix(1e200, 10),
+    lambda: fock.displacement_matrix(200.0, fock.MAX_DIM + 1),
+    lambda: fock.gcs_vector(0, 200.0),
+    lambda: fock.gcs_vector(1, 1.0, fock.MAX_DIM + 1),
+    lambda: fock.ladder_matrices(fock.MAX_DIM + 1),
+], ids=["min_dim", "displacement", "displacement-dim", "grown", "gcs-dim", "ladder"])
+def test_dim_above_the_cap_raises_before_any_eigensolve(monkeypatch, call):
+    monkeypatch.setattr(fock, "dstevd", _no_eigensolve)
+    with pytest.raises(fock.TruncationError, match=f"above MAX_DIM={fock.MAX_DIM}"):
+        call()
+
+
+def test_min_dim_names_the_needed_dim():
+    # 200^2 + 6 * 200 + 10 + 2 = 41212
+    with pytest.raises(fock.TruncationError, match="needs dim > 41212,"):
+        fock.min_dim(200.0, 1)
+    # 87^2 + 6 * 87 + 10 = 8101 is under the cap, 88^2 + 6 * 88 + 10 = 8282 is not
+    assert fock.min_dim(87.0) == 8102
+    with pytest.raises(fock.TruncationError, match="needs dim > 8282,"):
+        fock.min_dim(88.0)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(1.0, np.nan), -np.inf])
+def test_non_finite_alpha_is_a_value_error(monkeypatch, alpha):
+    monkeypatch.setattr(fock, "dstevd", _no_eigensolve)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fock.min_dim(alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fock.displacement_matrix(alpha, 20)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fock.gcs_vector(0, alpha)
+
+
+def test_growth_stops_at_the_cap(monkeypatch):
+    # (20, 6) starts at 147 and needs 184; under a cap of 150 it stops after
+    # the one eigensolve at 147 and names the dim it would need next
+    dims = []
+    real = fock.dstevd
+
+    def counted(d, e, *args):
+        dims.append(d.shape[0])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(fock, "dstevd", counted)
+    monkeypatch.setattr(fock, "MAX_DIM", 150)
+    with pytest.raises(fock.TruncationError, match="next dim 184 is above MAX_DIM=150"):
+        fock.gcs_vector(20, 6.0)
+    assert dims == [147]
 
 
 def test_min_dim_is_sufficient():
@@ -217,36 +282,41 @@ def test_variance_invariant_under_displacement(n):
 
 def test_evolve_stationary_state_one_period():
     dim = 12
-    _, _, num = fock.ladder_matrices(dim)
-    ham = num + 0.5 * np.eye(dim)
+    ham = fock.TridiagonalHamiltonian(np.arange(dim) + 0.5, np.zeros(dim - 1), np.zeros_like)
     vec = fock.number_state(2, dim)
-    out = fock.schrodinger_evolve(lambda t: ham, vec, 0.0, 2.0 * math.pi, 200)
+    out = fock.schrodinger_evolve(ham, vec, 0.0, 2.0 * math.pi, 200)
     amp = np.vdot(vec.coeffs, out.coeffs)
     assert abs(abs(amp) - 1.0) < 1e-8
     # e2 picks up e^{-i 5 pi} = -1 over one period
     assert abs(amp - (-1.0)) < 1e-8
 
 
+def _constant_force(dim):
+    # num + 0.3 (a + adag)
+    return fock.TridiagonalHamiltonian(
+        np.arange(dim, dtype=float), np.sqrt(np.arange(1.0, dim)), lambda t: np.full_like(t, 0.3)
+    )
+
+
 def test_evolve_constant_hamiltonian_step_invariance():
     dim = 30
-    a, adag, num = fock.ladder_matrices(dim)
-    ham = num + 0.3 * (a + adag)
+    ham = _constant_force(dim)
     vec = fock.gcs_vector(1, 0.5, dim)
-    one = fock.schrodinger_evolve(lambda t: ham, vec, 0.0, 2.0, 1)
-    many = fock.schrodinger_evolve(lambda t: ham, vec, 0.0, 2.0, 1000)
+    one = fock.schrodinger_evolve(ham, vec, 0.0, 2.0, 1)
+    many = fock.schrodinger_evolve(ham, vec, 0.0, 2.0, 1000)
     assert np.max(np.abs(one.coeffs - many.coeffs)) < 1e-8
 
 
-def test_evolve_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        fock.schrodinger_evolve(lambda t: bad, fock.number_state(0, 2), 0.0, 1.0, 10)
+def test_evolve_rejects_plain_callable():
+    # only the banded form is integrated; a dense callable is not accepted
+    _, _, num = fock.ladder_matrices(4)
+    with pytest.raises(TypeError, match="TridiagonalHamiltonian"):
+        fock.schrodinger_evolve(lambda t: num, fock.number_state(0, 4), 0.0, 1.0, 10)
 
 
 def test_evolve_rejects_bad_steps():
-    _, _, num = fock.ladder_matrices(4)
     with pytest.raises(ValueError):
-        fock.schrodinger_evolve(lambda t: num, fock.number_state(0, 4), 0.0, 1.0, 0)
+        fock.schrodinger_evolve(_constant_force(4), fock.number_state(0, 4), 0.0, 1.0, 0)
 
 
 def test_tridiagonal_hamiltonian_validation():
