@@ -154,6 +154,7 @@ class Output:
     dim: int = None
     tail_mass: float = None
     tolerances: dict = None
+    margins: dict = None  # measured values next to their tolerances
 
 
 def _frames(label, grid, times, name, header, columns):
@@ -292,8 +293,7 @@ def _build_pulse(args):
 
 def _drive(args, label, grid, times):
     pulse, n, omega = _build_pulse(args), args.n, args.omega
-    z1 = drive.zeta(pulse, omega, pulse.t1)
-    b1 = drive.beta_phase(pulse, omega, pulse.t1)
+    z1, b1, tail = drive.response(pulse, omega, pulse.t1)
     dim = args.dim or max(fock.min_dim(z1, n), 40)
     vec, label = drive._driven_state(n, pulse, omega, dim, z1, b1)
     hamiltonian = drive.drive_hamiltonian(pulse, omega, dim)
@@ -311,7 +311,8 @@ def _drive(args, label, grid, times):
         "fidelity_label_vs_numeric": abs(np.vdot(predicted, numeric.coeffs)),
     }
     return Output(params, report=report, dim=dim, tail_mass=vec.tail_mass(),
-                  tolerances={"zeta_quadrature": 1e-10, "fidelity": 1e-6})
+                  tolerances={"zeta_quadrature": drive.RESPONSE_TOL, "fidelity": 1e-6},
+                  margins={"zeta_beta_tail": tail})
 
 
 def _verify(args):
@@ -420,6 +421,7 @@ def _run(command, args):
         "truncation_dimension": result.dim,
         "tail_mass": result.tail_mass,
         "tolerances": result.tolerances or {},
+        **({"margins": result.margins} if result.margins else {}),
     })
     if result.report is not None:
         print(json.dumps(result.report, indent=2, sort_keys=True))

@@ -2,27 +2,31 @@
 
 A real force f enters through x = (a + adag)/sqrt(2 omega); the exact
 time-development operator factorizes into a real phase beta, a displacement
-by zeta, and free evolution.  zeta comes from adaptive quadrature of
-f(t) e^{i omega t}, beta from a single ODE sweep that carries the inner
-integral along, and both are cross-checked against direct Schrodinger
-integration in the verify suite.
+by zeta, and free evolution.  `response` takes zeta and beta from one
+Chebyshev sweep: on each smooth piece it samples f at Chebyshev-Lobatto
+points, integrates the Chebyshev series of f e^{-i omega t} exactly, and sums
+the beta integrand with Clenshaw-Curtis weights, doubling the points until
+the last coefficients reach roundoff; those coefficients are its error
+estimate.  Both are cross-checked against direct Schrodinger integration in
+the verify suite.
 
-Pulses are stored as tuples of smooth pieces so that neither the quadrature
-nor the ODE sweep ever integrates across a jump or kink.
+Pulses are stored as tuples of smooth pieces so that no Chebyshev series
+ever spans a jump or kink.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.fft import dct
 
 from . import fock
 from .states import GcsLabel
 
 
 class QuadratureError(Exception):
-    """Quadrature or ODE sweep failed to reach the requested tolerance."""
+    """The zeta/beta sweep failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -143,76 +147,158 @@ def _check_time(pulse, t):
         raise ValueError(f"t={t} outside pulse interval [{pulse.t0}, {pulse.t1}]")
 
 
+class Response(NamedTuple):
+    """zeta(t), beta(t), and the error estimate of the sweep that gave them."""
+
+    zeta: complex
+    beta: float
+    tail: float
+
+
+def _chebyshev_coefficients(values):
+    # samples at x_j = cos(pi j / n), j = 0..n, along the last axis -> the
+    # Chebyshev coefficients of their interpolant: one DCT-I, which is an FFT
+    # of the mirrored samples
+    n = values.shape[-1] - 1
+    c = dct(values, type=1, axis=-1) / n
+    c[..., [0, n]] /= 2
+    return c
+
+
+def _antiderivative(c):
+    """Chebyshev coefficients of each series' antiderivative, zero at x = -1.
+
+    The same series as numpy.polynomial.chebyshev.chebint(c, lbnd=-1,
+    axis=-1), whose Python loop over the degree this replaces by one array
+    step: B_k = (c_{k-1} - c_{k+1}) / (2k) with c_0 doubled.
+    """
+    n = c.shape[-1]
+    pad = np.zeros(c.shape[:-1] + (n + 2,), c.dtype)
+    pad[..., :n] = c
+    pad[..., 0] *= 2
+    k = np.arange(1, n + 1)
+    out = np.empty(c.shape[:-1] + (n + 1,), c.dtype)
+    out[..., 1:] = (pad[..., :-2] - pad[..., 2:]) / (2 * k)
+    out[..., 0] = -(out[..., 1:] @ (-1.0) ** k)
+    return out
+
+
+def _values_at_nodes(c):
+    # a series of degree n + 1 at the n + 1 points x_j = cos(pi j / n): there
+    # T_{n+1}(x_j) = T_{n-1}(x_j), so fold the top coefficient down and invert
+    # the DCT-I
+    n = c.shape[-1] - 2
+    folded = c[..., :n + 1].copy()
+    folded[..., n - 1] += c[..., n + 1]
+    folded[..., [0, n]] *= 2
+    return dct(folded, type=1, axis=-1) / 2
+
+
+# Chebyshev-Lobatto sampling per piece: N starts at _N0 and doubles up to
+# _N_MAX.  A piece is resolved when the last N/8 + 1 coefficients of g and
+# of h are at most _TAIL_RTOL of their scale (max|f| for g, max|f| times
+# max|G_p - G(a)| for h), well above the ~1e-16 roundoff plateau of the FFT.
+_N0, _N_MAX, _TAIL_RTOL = 16, 4096, 1e-13
+RESPONSE_TOL = 1e-10
+
+
+def response(pulse, omega, t):
+    """zeta(t) and beta(t) from one Chebyshev sweep over the smooth pieces.
+
+    Both rest on G(s) = integral of f e^{-i omega s'} from t0 to s:
+    zeta(t) = -(i/sqrt(2 omega)) conj G(t), and beta(t) = (1/(2 omega))
+    integral of f(s) Im[e^{i omega s} G(s)] from t0 to t.  On each piece
+    [a, b] (cut at t) f is sampled at N + 1 Chebyshev-Lobatto points; one
+    FFT gives the Chebyshev coefficients of g = f e^{-i omega s}, whose exact
+    integral is G_p(s) - G(a), and h = f Im[e^{i omega s} (G_p(s) - G(a))] is
+    summed with Clenshaw-Curtis weights (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, ch. 3 and 19; Clenshaw & Curtis,
+    Numer. Math. 2, 197 (1960)).  With I_p and B_p the piece integrals of g
+    and h, G(t) = sum_p I_p and 2 omega beta = sum_p (B_p + Im[G(a_p) conj
+    I_p]), so every piece is resolved on its own: all unresolved pieces are
+    sampled together, N doubling from 16, until the last N/8 + 1 coefficients
+    of g and h are at most 1e-13 of their sample scale.
+
+    `tail`, the error estimate, sums over pieces the piece length times those
+    last coefficients of g and of h.  Raises QuadratureError when a sample is
+    not finite, when a piece is still unresolved at N = 4096, or when the
+    tail exceeds RESPONSE_TOL = 1e-10.
+    """
+    _check_omega(omega)
+    _check_time(pulse, t)
+    spans = []
+    for a, b, f in pulse.pieces:
+        hi = min(b, t)
+        if hi <= a:
+            break
+        spans.append((a, hi, f))
+    lo = np.array([span[0] for span in spans], dtype=np.float64)
+    hi = np.array([span[1] for span in spans], dtype=np.float64)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    integral = np.zeros(len(spans), complex)
+    local, tail = np.zeros(len(spans)), np.zeros(len(spans))
+    pending, n = np.arange(len(spans)), _N0
+    while pending.size:
+        if n > _N_MAX:
+            i = pending[0]
+            raise QuadratureError(
+                f"zeta/beta: {pending.size} piece(s) unresolved at {_N_MAX} Chebyshev "
+                f"points, the first on [{lo[i]}, {hi[i]}]"
+            )
+        x = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))  # cos(pi j/n)
+        s = mid[pending, None] + half[pending, None] * x
+        fs = np.empty_like(s)
+        for row, i in enumerate(pending):
+            fs[row] = spans[i][2](s[row])
+        bad = np.flatnonzero(~np.isfinite(fs))
+        if bad.size:
+            row, j = divmod(bad[0], n + 1)
+            raise QuadratureError(
+                f"zeta/beta: force at t={s[row, j]:.6g} is {fs[row, j]}"
+            )
+        cg = _chebyshev_coefficients(fs * np.exp(-1j * omega * s))
+        big = _antiderivative(cg)
+        g_local = half[pending, None] * _values_at_nodes(big)
+        ch = _chebyshev_coefficients(fs * np.imag(np.exp(1j * omega * s) * g_local))
+        last = n // 8 + 1
+        tail_g = np.max(np.abs(cg[:, -last:]), axis=1)
+        tail_h = np.max(np.abs(ch[:, -last:]), axis=1)
+        scale = np.max(np.abs(fs), axis=1)
+        ok = (tail_g <= _TAIL_RTOL * scale) & (
+            tail_h <= _TAIL_RTOL * scale * np.max(np.abs(g_local), axis=1)
+        )
+        done = pending[ok]
+        weights = np.zeros(n + 1)
+        weights[::2] = 2.0 / (1.0 - np.arange(0.0, n + 1, 2) ** 2)
+        integral[done] = half[done] * big[ok].sum(axis=1)
+        local[done] = half[done] * (ch[ok] @ weights)
+        tail[done] = 2.0 * half[done] * (tail_g[ok] + tail_h[ok])
+        pending, n = pending[~ok], 2 * n
+    est = float(tail.sum())
+    if not est <= RESPONSE_TOL:
+        raise QuadratureError(f"zeta/beta error estimate {est:.3e} > {RESPONSE_TOL:.0e}")
+    starts = np.cumsum(integral) - integral
+    beta = (local.sum() + np.sum(np.imag(starts * np.conj(integral)))) / (2.0 * omega)
+    return Response(complex(-1j / math.sqrt(2.0 * omega) * np.conj(integral.sum())),
+                    float(beta), est)
+
+
 def zeta(pulse, omega, t):
     """-(i/sqrt(2 omega)) * integral of f(s) e^{i omega s} from t0 to t.
 
-    Adaptive quadrature per smooth piece, absolute tolerance 1e-10 overall;
-    raises QuadratureError with the achieved error estimate on failure, and
-    when the integral or the estimate is not finite.
+    The zeta of `response`, which raises QuadratureError when the Chebyshev
+    sweep fails or its error estimate exceeds RESPONSE_TOL = 1e-10.
     """
-    _check_omega(omega)
-    _check_time(pulse, t)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b, f in pulse.pieces:
-        hi = min(b, t)
-        if hi <= a:
-            break
-        re, err_re = quad(
-            lambda s: f(s) * math.cos(omega * s), a, hi,
-            epsabs=1e-13, epsrel=1e-13, limit=1024, full_output=False,
-        )
-        im, err_im = quad(
-            lambda s: f(s) * math.sin(omega * s), a, hi,
-            epsabs=1e-13, epsrel=1e-13, limit=1024, full_output=False,
-        )
-        total += re + 1j * im
-        err += err_re + err_im
-    if not np.isfinite(total):
-        raise QuadratureError(f"zeta quadrature gave a non-finite integral {total}")
-    if not err <= 1e-10:  # a NaN estimate fails here too
-        raise QuadratureError(f"zeta quadrature error estimate {err:.3e} > 1e-10")
-    return -1j / math.sqrt(2.0 * omega) * total
+    return response(pulse, omega, t).zeta
 
 
 def beta_phase(pulse, omega, t):
-    """Real phase (1/2w) double integral of f(t')f(t'') sin(w(t'-t'')).
+    """Real phase (1/2w) double integral of f(t')f(t'') sin(w(t'-t'')) over t'' < t'.
 
-    Rewritten as one sweep: carry G(t') = integral of f e^{-i w s} ds and
-    accumulate d(beta)/dt' = f(t') Im[e^{i w t'} G(t')] / (2 w).
+    The beta of `response`, which raises QuadratureError when the Chebyshev
+    sweep fails or its error estimate exceeds RESPONSE_TOL = 1e-10.
     """
-    _check_omega(omega)
-    _check_time(pulse, t)
-    state = np.zeros(3)
-
-    for a, b, f in pulse.pieces:
-        hi = min(b, t)
-        if hi <= a:
-            break
-
-        def rhs(s, y, f=f):
-            fs = float(f(np.float64(s)))
-            return [
-                fs * math.cos(omega * s),
-                -fs * math.sin(omega * s),
-                fs
-                * (math.sin(omega * s) * y[0] + math.cos(omega * s) * y[1])
-                / (2.0 * omega),
-            ]
-
-        sol = solve_ivp(
-            rhs, (a, hi), state, method="DOP853", rtol=1e-12, atol=1e-13
-        )
-        if not sol.success:
-            raise QuadratureError(f"beta sweep failed on [{a}, {hi}]: {sol.message}")
-        state = sol.y[:, -1]
-    return float(state[2])
-
-
-def position_matrix(omega, dim):
-    """x = (a + adag)/sqrt(2 omega) as a dim x dim matrix."""
-    a, adag, _ = fock.ladder_matrices(dim)
-    return (a + adag) / math.sqrt(2.0 * omega)
+    return response(pulse, omega, t).beta
 
 
 def drive_hamiltonian(pulse, omega, dim):
@@ -223,7 +309,8 @@ def drive_hamiltonian(pulse, omega, dim):
     forming the dense matrix.  It diagonalises the bands only at m force
     nodes, m the least count with 2 (r dt ||X||/2)^m / m! <= 1e-17 (r the
     half-width of the force range, ||X|| <= 2 sqrt((dim - 1)/(2 omega))), and
-    keeps m dim^2 16 bytes of step operators.
+    keeps m dim^2 16 bytes of step operators, at most fock.MAX_STACK_BYTES of
+    them at once.
     """
     _check_omega(omega)
     return fock.TridiagonalHamiltonian(
@@ -238,8 +325,7 @@ def time_development(pulse, omega, dim):
 
     dim must be tail-safe for |zeta| (TruncationError otherwise).
     """
-    z1 = zeta(pulse, omega, pulse.t1)
-    b1 = beta_phase(pulse, omega, pulse.t1)
+    z1, b1, _ = response(pulse, omega, pulse.t1)
     disp = fock.displacement_matrix(z1 * np.exp(-1j * omega * pulse.t1), dim)
     free = np.exp(-1j * (np.arange(dim) + 0.5) * omega * (pulse.t1 - pulse.t0))
     return np.exp(1j * b1) * (disp * free[None, :])
@@ -254,8 +340,8 @@ def drive_number_state(n, pulse, omega, dim):
     and they agree with the returned vector up to a global phase.  dim must
     be tail-safe for level n at |zeta| (TruncationError otherwise).
     """
-    z1 = zeta(pulse, omega, pulse.t1)
-    return _driven_state(n, pulse, omega, dim, z1, beta_phase(pulse, omega, pulse.t1))
+    z1, b1, _ = response(pulse, omega, pulse.t1)
+    return _driven_state(n, pulse, omega, dim, z1, b1)
 
 
 def _driven_state(n, pulse, omega, dim, z1, b1):

@@ -12,7 +12,8 @@ set of its columns, a single one in O(dim^2) after the eigensolve.  The
 integrator takes a TridiagonalHamiltonian only: it diagonalises at m nodes
 of the force, m chosen so that the interpolation bound
 2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step operators,
-m dim^2 16 bytes.
+m dim^2 16 bytes, splitting the steps into runs with their own force ranges
+when that would pass MAX_STACK_BYTES.
 
 Everything here is an independent cross-check for the closed forms in
 states.py, so it deliberately shares no code with them.  Matrices are plain
@@ -38,6 +39,9 @@ class TruncationError(Exception):
 # displacement matrix 16 dim^2 bytes, 1 GiB at the cap.
 GROWTH, TOP_LEVELS, TOP_MASS = 1.25, 5, 1e-14
 MAX_DIM = 8192
+# The integrator holds at most this many bytes of node operators at once,
+# unless a single dim^2 16-byte operator is larger.
+MAX_STACK_BYTES = 64 << 20
 
 
 def min_dim(alpha, n=0):
@@ -204,7 +208,9 @@ class TridiagonalHamiltonian:
     [f_min, f_max] of half-width r, m the least count with
     2 (r dt ||X||/2)^m / m! <= 1e-17, or at the distinct midpoint forces
     when there are no more than m of them.  The m node operators take
-    m dim^2 16 bytes.
+    m dim^2 16 bytes; when that passes MAX_STACK_BYTES (64 MiB) the steps are
+    split into consecutive runs, each with its own force range and nodes,
+    and only one run's operators are held at a time.
     """
 
     diag: np.ndarray
@@ -243,7 +249,17 @@ def _propagate(hamiltonian, block, t0, t1, steps):
             f"force at t={mids[bad[0]]:.6g} is {forces[bad[0]]} "
             f"({bad.size} of {steps} midpoints not finite)"
         )
-    nodes, weights = _force_nodes(forces, dt * 2.0 * np.max(np.abs(hamiltonian.off)))
+    scale = dt * 2.0 * np.max(np.abs(hamiltonian.off))
+    most = max(1, MAX_STACK_BYTES // (16 * block.shape[0] ** 2))
+    for run in _runs(forces, scale, most):
+        block = _propagate_run(hamiltonian, block, forces[run], dt, scale)
+    return block
+
+
+def _propagate_run(hamiltonian, block, forces, dt, scale):
+    # one step per force, each interpolated between the node operators of
+    # this run's force range, which live only while the run is applied
+    nodes, weights = _force_nodes(forces, scale)
     dim, ncol = block.shape
     eye = np.eye(dim)
     stack = np.empty((nodes.size, dim, dim), complex)
@@ -261,6 +277,37 @@ def _propagate(hamiltonian, block, t0, t1, steps):
     return block
 
 
+def _runs(forces, scale, most):
+    """Split the steps into runs whose force ranges need at most `most` nodes.
+
+    One run when the whole range needs no more (or holds no more distinct
+    forces); otherwise each run takes steps while its range still needs at
+    most `most` nodes, which a single step (one force, one node) always meets.
+    """
+    values = np.unique(forces)
+    if _node_count(values[-1] - values[0], scale, values.size) <= most:
+        return [slice(0, forces.size)]
+    runs, start, lo, hi = [], 0, forces[0], forces[0]
+    for i, f in enumerate(forces):
+        lo, hi = min(lo, f), max(hi, f)
+        if _node_count(hi - lo, scale, most + 1) > most:
+            runs.append(slice(start, i))
+            start, lo, hi = i, f, f
+    runs.append(slice(start, forces.size))
+    return runs
+
+
+def _node_count(spread, scale, most):
+    # the least m with 2 (spread scale/4)^m / m! <= 1e-17, spread the width
+    # of the force range, or `most` if that is smaller
+    x = 0.25 * spread * abs(scale)
+    m, bound = 1, 2.0 * x
+    while m < most and bound > 1e-17:
+        m += 1
+        bound *= x / m
+    return m
+
+
 def _force_nodes(forces, scale):
     """Interpolation nodes in the force and each step's weights on them.
 
@@ -271,11 +318,7 @@ def _force_nodes(forces, scale):
     weights are the barycentric Lagrange basis at every force at once.
     """
     values = np.unique(forces)
-    x = 0.25 * (values[-1] - values[0]) * abs(scale)
-    m, bound = 1, 2.0 * x
-    while m < values.size and bound > 1e-17:
-        m += 1
-        bound *= x / m
+    m = _node_count(values[-1] - values[0], scale, values.size)
     if m == values.size:
         return values, (forces[:, None] == values).astype(np.float64)
     theta = (2.0 * np.arange(m) + 1.0) * np.pi / (2.0 * m)

@@ -3,13 +3,14 @@
 Every routine here recomputes its target by a different algorithm than the
 library: explicit coefficient sums, high-precision mpmath evaluation, a dense
 matrix exponential built from scratch, Richardson-extrapolated trapezoids,
-and high-order finite differences.  Tests compare library output against
+adaptive quadrature and ODE sweeps, and high-order finite differences.  Tests compare library output against
 these, or against constants frozen from a run of these.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 from scipy.linalg.lapack import dstevd
 
@@ -153,6 +154,71 @@ def beta_trapz(pulse, omega, t, points=20001):
     coarse = _beta_grid(pulse, omega, t, points)
     fine = _beta_grid(pulse, omega, t, 2 * points - 1)
     return (4.0 * fine - coarse) / 3.0
+
+
+def zeta_quad(pulse, omega, t):
+    """drive.zeta before the Chebyshev sweep: two adaptive `quad` calls per
+    piece, kept verbatim as the reference."""
+    from gcslib.drive import QuadratureError, _check_omega, _check_time
+
+    _check_omega(omega)
+    _check_time(pulse, t)
+    total = 0.0 + 0.0j
+    err = 0.0
+    for a, b, f in pulse.pieces:
+        hi = min(b, t)
+        if hi <= a:
+            break
+        re, err_re = quad(
+            lambda s: f(s) * math.cos(omega * s), a, hi,
+            epsabs=1e-13, epsrel=1e-13, limit=1024, full_output=False,
+        )
+        im, err_im = quad(
+            lambda s: f(s) * math.sin(omega * s), a, hi,
+            epsabs=1e-13, epsrel=1e-13, limit=1024, full_output=False,
+        )
+        total += re + 1j * im
+        err += err_re + err_im
+    if not np.isfinite(total):
+        raise QuadratureError(f"zeta quadrature gave a non-finite integral {total}")
+    if not err <= 1e-10:  # a NaN estimate fails here too
+        raise QuadratureError(f"zeta quadrature error estimate {err:.3e} > 1e-10")
+    return -1j / math.sqrt(2.0 * omega) * total
+
+
+def beta_phase_ode(pulse, omega, t):
+    """drive.beta_phase before the Chebyshev sweep: one DOP853 `solve_ivp`
+    sweep per piece carrying G(t') = integral of f e^{-i w s} ds and
+    d(beta)/dt' = f(t') Im[e^{i w t'} G(t')] / (2 w), kept verbatim as the
+    reference."""
+    from gcslib.drive import QuadratureError, _check_omega, _check_time
+
+    _check_omega(omega)
+    _check_time(pulse, t)
+    state = np.zeros(3)
+
+    for a, b, f in pulse.pieces:
+        hi = min(b, t)
+        if hi <= a:
+            break
+
+        def rhs(s, y, f=f):
+            fs = float(f(np.float64(s)))
+            return [
+                fs * math.cos(omega * s),
+                -fs * math.sin(omega * s),
+                fs
+                * (math.sin(omega * s) * y[0] + math.cos(omega * s) * y[1])
+                / (2.0 * omega),
+            ]
+
+        sol = solve_ivp(
+            rhs, (a, hi), state, method="DOP853", rtol=1e-12, atol=1e-13
+        )
+        if not sol.success:
+            raise QuadratureError(f"beta sweep failed on [{a}, {hi}]: {sol.message}")
+        state = sol.y[:, -1]
+    return float(state[2])
 
 
 def strict_local_minima(values):

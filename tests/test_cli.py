@@ -308,24 +308,27 @@ def test_drive_table_rejects_non_finite_force(tmp_path, capsys, extra):
 
 
 def test_drive_computes_zeta_and_beta_once(tmp_path, capsys, monkeypatch):
-    calls = {"zeta": 0, "beta_phase": 0}
-    for name in calls:
-        real = getattr(drive, name)
+    calls = []
+    real = drive.response
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-        monkeypatch.setattr(drive, name, counted)
+    monkeypatch.setattr(drive, "response", counted)
     code = cli.main(
         ["drive", "--n", "1", "--steps", "100", "--t1", "2.0",
          "--center", "1.0", "--width", "0.3", "--out", str(tmp_path / "o")]
     )
     assert code == 0
-    assert calls == {"zeta": 1, "beta_phase": 1}
+    assert len(calls) == 1
     rep = json.loads(capsys.readouterr().out)
     pulse = drive.gaussian_pulse(0.8, 1.0, 0.3, 0.0, 2.0)
-    assert rep["beta"] == drive.beta_phase(pulse, 1.0, 2.0)
+    got = real(pulse, 1.0, 2.0)
+    assert rep["beta"] == got.beta
+    margins = _read_json(tmp_path / "o" / "manifest.json")["margins"]
+    assert margins == {"zeta_beta_tail": got.tail}
+    assert 0.0 <= got.tail <= drive.RESPONSE_TOL
 
 
 @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])

@@ -140,15 +140,14 @@ def test_response_rejects_bad_omega(omega):
             call()
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:.*maximum number of subdivisions.*")
 def test_zeta_reports_quadrature_failure():
     wild = drive.DrivePulse(
         "wild", 0.0, 1.0, ((0.0, 1.0, lambda s: np.sin(1.0 / (s + 1e-9))),)
     )
-    with pytest.raises(drive.QuadratureError):
-        drive.zeta(wild, 1.0, 1.0)
-    # a NaN force gives a NaN error estimate, which no "> tol" test catches
+    for call in (drive.zeta, drive.beta_phase):
+        with pytest.raises(drive.QuadratureError, match="unresolved at 4096"):
+            call(wild, 1.0, 1.0)
+    # a non-finite sample raises before any transform can spread it
     half_nan = drive.DrivePulse(
         "half-nan", 0.0, 4.0, ((0.0, 4.0, lambda t: np.where(t > 2.0, np.nan, 0.5)),)
     )
@@ -156,8 +155,17 @@ def test_zeta_reports_quadrature_failure():
         "all-nan", 0.0, 4.0, ((0.0, 4.0, lambda t: np.full_like(t, np.nan)),)
     )
     for pulse in (half_nan, all_nan):
-        with pytest.raises(drive.QuadratureError):
-            drive.zeta(pulse, 1.0, 4.0)
+        for call in (drive.zeta, drive.beta_phase):
+            with pytest.raises(drive.QuadratureError, match="is nan"):
+                call(pulse, 1.0, 4.0)
+
+
+def test_response_rejects_an_estimate_above_tolerance():
+    # resolved to 1e-13 of its scale, a force of 1e6 leaves a tail of ~1e-8
+    pulse = drive.gaussian_pulse(1e6, 2.5, 0.5, 0.0, 5.0)
+    with pytest.raises(drive.QuadratureError, match="error estimate"):
+        drive.response(pulse, 1.0, 5.0)
+    assert drive.response(drive.gaussian_pulse(*GAUSS_ARGS), 1.0, 5.0).tail <= 1e-12
 
 
 def test_beta_vanishes_at_start():
@@ -175,6 +183,47 @@ def test_beta_constant_force_closed_form():
     pulse = drive.rectangular_pulse(force, 0.0, horizon, 0.0, horizon)
     expected = force**2 / (2.0 * omega**2) * (horizon - math.sin(omega * horizon) / omega)
     assert abs(drive.beta_phase(pulse, omega, horizon) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("t_on, t_off, t", [(0.0, 2.0, 2.0), (1.0, 3.0, 4.0), (1.0, 3.0, 2.2)])
+@pytest.mark.parametrize("omega", [0.8, 1.3])
+def test_beta_rectangular_closed_form_to_roundoff(t_on, t_off, t, omega):
+    force = 0.7
+    pulse = drive.rectangular_pulse(force, t_on, t_off, 0.0, 4.0)
+    width = min(t, t_off) - t_on
+    expected = force**2 / (2.0 * omega**2) * (width - math.sin(omega * width) / omega)
+    assert abs(drive.beta_phase(pulse, omega, t) - expected) <= 1e-14
+
+
+def _reference_pulses():
+    ts = np.linspace(0.0, 5.0, 401)
+    return verify._registry_pulses() + (drive.table_pulse(ts, 0.6 * np.sin(1.3 * ts) * ts / 4.0),)
+
+
+@pytest.mark.parametrize("pulse", _reference_pulses(), ids=lambda p: p.name)
+@pytest.mark.parametrize("omega", [0.8, 1.0, 1.25])
+def test_response_matches_quad_and_ode_references(pulse, omega):
+    for t in (0.5 * (pulse.t0 + pulse.t1), pulse.t1):
+        got = drive.response(pulse, omega, t)
+        assert abs(got.zeta - oracles.zeta_quad(pulse, omega, t)) <= 1e-12
+        assert abs(got.beta - oracles.beta_phase_ode(pulse, omega, t)) <= 1e-12
+        assert 0.0 <= got.tail <= drive.RESPONSE_TOL
+        assert (got.zeta, got.beta) == (drive.zeta(pulse, omega, t), drive.beta_phase(pulse, omega, t))
+
+
+def test_chebyshev_steps_match_numpy_polynomial():
+    rng = np.random.default_rng(13)
+    n = 32
+    c = rng.standard_normal((3, n + 1)) + 1j * rng.standard_normal((3, n + 1))
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    values = np.polynomial.chebyshev.chebval(x, c.T, tensor=True)
+    assert_allclose(drive._chebyshev_coefficients(values), c, rtol=0, atol=1e-13)
+    big = drive._antiderivative(c)
+    assert_allclose(big, np.polynomial.chebyshev.chebint(c, lbnd=-1, axis=-1), rtol=0, atol=1e-15)
+    assert_allclose(
+        drive._values_at_nodes(big),
+        np.polynomial.chebyshev.chebval(x, big.T, tensor=True), rtol=0, atol=1e-13,
+    )
 
 
 def test_response_integrals_match_trapezoid_oracles():
@@ -278,7 +327,8 @@ def test_drive_hamiltonian_bands_build_the_dense_matrix():
     ham = drive.drive_hamiltonian(pulse, omega, dim)
     assert_allclose(ham.diag, (np.arange(dim) + 0.5) * omega, rtol=0, atol=0)
     assert_allclose(ham.off, np.sqrt(np.arange(1, dim) / (2.0 * omega)), rtol=1e-15)
-    x = drive.position_matrix(omega, dim)
+    off = np.sqrt(np.arange(1.0, dim)) / math.sqrt(2.0 * omega)
+    x = np.diag(off, 1) + np.diag(off, -1)
     for t in (0.0, 2.2, 2.5, 5.0):
         dense = np.diag((np.arange(dim) + 0.5) * omega) + pulse(t) * x
         assert_allclose(oracles.tridiagonal_dense(ham, t), dense, rtol=1e-15, atol=0)
@@ -356,6 +406,56 @@ def test_interpolated_steps_match_one_eigensolve_per_step(kind, amp, dim, steps,
     # every step reuses the same node operators, so a departure from
     # unitarity would add up linearly: the columns must keep their norm
     assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 5e-13
+
+
+def _nodes_per_run(monkeypatch):
+    sizes = []
+    real = fock._force_nodes
+
+    def recording(forces, scale):
+        nodes, weights = real(forces, scale)
+        sizes.append(nodes.size)
+        return nodes, weights
+
+    monkeypatch.setattr(fock, "_force_nodes", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("most", [1, 3, 6])
+@pytest.mark.parametrize("kind, amp, dim, steps, ncol", [
+    ("gaussian", 20.0, 20, 300, 3),
+    ("table", 20.0, 24, 400, 1),
+    ("sine-burst", 5.0, 16, 200, 2),
+])
+def test_capped_node_stack_matches_one_eigensolve_per_step(
+        monkeypatch, kind, amp, dim, steps, ncol, most):
+    pulse = _force_pulse(kind, amp)
+    ham = drive.drive_hamiltonian(pulse, 1.0, dim)
+    block = np.eye(dim, dtype=complex)[:, :ncol]
+    monkeypatch.setattr(fock, "MAX_STACK_BYTES", most * 16 * dim * dim)
+    sizes = _nodes_per_run(monkeypatch)
+    got = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
+    assert len(sizes) > 1 and max(sizes) <= most
+    ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, (pulse.t1 - pulse.t0) / steps, steps)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 5e-13
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rectangular", "sine-burst"])
+def test_benchmark_shape_is_one_run(monkeypatch, kind):
+    # gcsbench's drive workload: dim 48, 500 steps over [0, 5], |f| <= 0.9;
+    # one run holds at most 9 node operators (332 KB), far under the cap
+    pulse = _force_pulse(kind, 0.9)
+    pulse = drive.DrivePulse(pulse.name, 0.0, 5.0, pulse.pieces)
+    ham = drive.drive_hamiltonian(pulse, 1.25, 48)
+    block = np.eye(48, dtype=complex)[:, 1:2]
+    sizes = _nodes_per_run(monkeypatch)
+    got = fock._propagate(ham, block, 0.0, 5.0, 500)
+    assert len(sizes) == 1 and sizes[0] <= 9
+    dt = 5.0 / 500
+    forces = pulse((np.arange(500) + 0.5) * dt)
+    whole = fock._propagate_run(ham, block, forces, dt, dt * 2.0 * np.max(ham.off))
+    assert got.tobytes() == whole.tobytes()
 
 
 def test_force_weights_interpolate_and_pick_hit_nodes():
