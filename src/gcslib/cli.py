@@ -83,8 +83,10 @@ def _resolve(args):
 
 
 def _label(args, default_alpha):
-    if args.alpha is not None and args.alpha_mag is not None:
+    if args.alpha is not None and (args.alpha_mag is not None or args.alpha_phase is not None):
         raise ValueError("give either --alpha or --alpha-mag/--alpha-phase, not both")
+    if args.alpha_phase is not None and args.alpha_mag is None:
+        raise ValueError("give either --alpha or --alpha-mag/--alpha-phase, not --alpha-phase alone")
     if args.alpha_mag is not None:
         alpha = args.alpha_mag * np.exp(1j * (args.alpha_phase or 0.0))
     elif args.alpha is not None:

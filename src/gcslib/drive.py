@@ -309,8 +309,9 @@ def drive_hamiltonian(pulse, omega, dim):
     forming the dense matrix.  It diagonalises the bands only at m force
     nodes, m the least count with 2 (r dt ||X||/2)^m / m! <= 1e-17 (r the
     half-width of the force range, ||X|| <= 2 sqrt((dim - 1)/(2 omega))), and
-    keeps m dim^2 16 bytes of step operators, at most fock.MAX_STACK_BYTES of
-    them at once.
+    keeps those m dim^2 16 bytes of step operators; when m is not below the
+    step count or the operators would pass fock.MAX_STACK_BYTES, each step
+    takes its own eigensolve instead.
     """
     _check_omega(omega)
     return fock.TridiagonalHamiltonian(

@@ -12,8 +12,8 @@ set of its columns, a single one in O(dim^2) after the eigensolve.  The
 integrator takes a TridiagonalHamiltonian only: it diagonalises at m nodes
 of the force, m chosen so that the interpolation bound
 2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step operators,
-m dim^2 16 bytes, splitting the steps into runs with their own force ranges
-when that would pass MAX_STACK_BYTES.
+m dim^2 16 bytes, when m is below the step count and the stack fits in
+MAX_STACK_BYTES; otherwise every step takes its own eigensolve.
 
 Everything here is an independent cross-check for the closed forms in
 states.py, so it deliberately shares no code with them.  Matrices are plain
@@ -39,8 +39,8 @@ class TruncationError(Exception):
 # displacement matrix 16 dim^2 bytes, 1 GiB at the cap.
 GROWTH, TOP_LEVELS, TOP_MASS = 1.25, 5, 1e-14
 MAX_DIM = 8192
-# The integrator holds at most this many bytes of node operators at once,
-# unless a single dim^2 16-byte operator is larger.
+# The integrator holds at most this many bytes of node operators; past it,
+# each step takes its own eigensolve.
 MAX_STACK_BYTES = 64 << 20
 
 
@@ -84,6 +84,15 @@ def ladder_matrices(dim):
     return a, adag, np.diag(np.arange(dim, dtype=complex))
 
 
+def _tridiagonal_eigh(diag, off):
+    # eigenvalues and eigenvectors of the real symmetric tridiagonal matrix
+    # with these bands: the one LAPACK dstevd call, and its one check
+    evals, evecs, info = dstevd(diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info={info} at dim={diag.size}")
+    return evals, evecs
+
+
 def _displaced_columns(alpha, dim, n, cols):
     """Columns cols of D(alpha) at size dim, guarded for displacing level n.
 
@@ -104,9 +113,7 @@ def _displaced_columns(alpha, dim, n, cols):
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)[:, cols]
-    evals, v, info = dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info={info} at dim={dim}")
+    evals, v = _tridiagonal_eigh(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
     k = np.arange(dim)
     p = np.array([1.0, 1j, -1.0, -1j])[k % 4] * np.exp(1j * k * np.angle(alpha))
     w = np.exp(-1j * abs(alpha) * evals)[:, None] * v[cols].T * p[cols].conj()
@@ -208,9 +215,9 @@ class TridiagonalHamiltonian:
     [f_min, f_max] of half-width r, m the least count with
     2 (r dt ||X||/2)^m / m! <= 1e-17, or at the distinct midpoint forces
     when there are no more than m of them.  The m node operators take
-    m dim^2 16 bytes; when that passes MAX_STACK_BYTES (64 MiB) the steps are
-    split into consecutive runs, each with its own force range and nodes,
-    and only one run's operators are held at a time.
+    m dim^2 16 bytes.  When m is not below the step count, or the operators
+    would pass MAX_STACK_BYTES (64 MiB), no operator is formed: each step
+    applies its own eigenvectors, V e^{-i Lambda dt} V^T, to the block.
     """
 
     diag: np.ndarray
@@ -232,7 +239,8 @@ class TridiagonalHamiltonian:
 
 def _propagate(hamiltonian, block, t0, t1, steps):
     # exponential midpoint rule: each step applies exp(-i H(t_mid) dt),
-    # interpolated between the node operators (see TridiagonalHamiltonian)
+    # interpolated between the node operators or through its own
+    # eigenvectors (see TridiagonalHamiltonian)
     if not isinstance(hamiltonian, TridiagonalHamiltonian):
         raise TypeError(
             f"hamiltonian must be a TridiagonalHamiltonian, got {type(hamiltonian).__name__}"
@@ -249,24 +257,17 @@ def _propagate(hamiltonian, block, t0, t1, steps):
             f"force at t={mids[bad[0]]:.6g} is {forces[bad[0]]} "
             f"({bad.size} of {steps} midpoints not finite)"
         )
-    scale = dt * 2.0 * np.max(np.abs(hamiltonian.off))
-    most = max(1, MAX_STACK_BYTES // (16 * block.shape[0] ** 2))
-    for run in _runs(forces, scale, most):
-        block = _propagate_run(hamiltonian, block, forces[run], dt, scale)
-    return block
-
-
-def _propagate_run(hamiltonian, block, forces, dt, scale):
-    # one step per force, each interpolated between the node operators of
-    # this run's force range, which live only while the run is applied
-    nodes, weights = _force_nodes(forces, scale)
+    nodes, weights = _force_nodes(forces, dt * 2.0 * np.max(np.abs(hamiltonian.off)))
     dim, ncol = block.shape
+    if nodes.size >= steps or nodes.size * dim * dim * 16 > MAX_STACK_BYTES:
+        for f in forces:
+            evals, evecs = _tridiagonal_eigh(hamiltonian.diag, f * hamiltonian.off)
+            block = evecs @ (np.exp(-1j * evals * dt)[:, None] * (evecs.T @ block))
+        return block
     eye = np.eye(dim)
     stack = np.empty((nodes.size, dim, dim), complex)
     for j, f in enumerate(nodes):
-        evals, evecs, info = dstevd(hamiltonian.diag, f * hamiltonian.off)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
+        evals, evecs = _tridiagonal_eigh(hamiltonian.diag, f * hamiltonian.off)
         u = (evecs * np.exp(-1j * evals * dt)) @ evecs.T
         # each node operator is applied up to `steps` times, so its departure
         # from unitarity (that of evecs, ~dim eps) would add up linearly; one
@@ -275,26 +276,6 @@ def _propagate_run(hamiltonian, block, forces, dt, scale):
     for w in weights:
         block = (w @ (stack @ block).reshape(nodes.size, -1)).reshape(dim, ncol)
     return block
-
-
-def _runs(forces, scale, most):
-    """Split the steps into runs whose force ranges need at most `most` nodes.
-
-    One run when the whole range needs no more (or holds no more distinct
-    forces); otherwise each run takes steps while its range still needs at
-    most `most` nodes, which a single step (one force, one node) always meets.
-    """
-    values = np.unique(forces)
-    if _node_count(values[-1] - values[0], scale, values.size) <= most:
-        return [slice(0, forces.size)]
-    runs, start, lo, hi = [], 0, forces[0], forces[0]
-    for i, f in enumerate(forces):
-        lo, hi = min(lo, f), max(hi, f)
-        if _node_count(hi - lo, scale, most + 1) > most:
-            runs.append(slice(start, i))
-            start, lo, hi = i, f, f
-    runs.append(slice(start, forces.size))
-    return runs
 
 
 def _node_count(spread, scale, most):

@@ -38,7 +38,10 @@ def hermite(n, z):
 
 
 def laguerre_assoc(k, m, z):
-    """Generalized Laguerre polynomial L_k^m(z) for integer k >= 0, m >= 0."""
+    """Generalized Laguerre polynomial L_k^m(z) for integer k >= 0, m >= 0.
+
+    ValueError when it is not finite: a NaN z, or a recurrence past the float
+    range, as L_700(1600) (about 1e344) goes through inf - inf."""
     _check_index(k, "k")
     _check_index(m, "m")
     # kernels.laguerre_table's recurrence on one column, in the same order,
@@ -49,6 +52,8 @@ def laguerre_assoc(k, m, z):
     L0, L1 = 1.0, 1.0 + d - z
     for j in range(1, k):
         L0, L1 = L1, ((2.0 * j + 1.0 + d - z) * L1 - (j + d) * L0) / (j + 1.0)
+    if not math.isfinite(L1):
+        raise ValueError(f"L_{k}^{m}({z!r}) is {L1}: the recurrence leaves the float range")
     return L1
 
 

@@ -4,14 +4,14 @@ Each suite returns Check rows (name, residual, tolerance); a residual at or
 below its tolerance passes.  Reference values inside a suite are computed by
 a different route than the library code under test: explicit coefficient
 sums, Simpson quadrature, finite differences, dense-matrix expectations, or
-conjugate-pair ODE sweeps.
+conjugate-pair ODE sweeps.  The suites import scipy.integrate themselves, so
+that every gcs command does not load it (and scipy.optimize) at start-up.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from . import beamsplitter, drive, fock, specfun, states
 
@@ -48,6 +48,8 @@ def _laguerre_sum(k, m, z):
 
 
 def suite_specfun():
+    from scipy.integrate import simpson
+
     checks = []
 
     zs = np.linspace(-3.0, 3.0, 25)
@@ -121,6 +123,8 @@ def _residual_labels():
 
 
 def suite_gcs():
+    from scipy.integrate import simpson
+
     checks = []
 
     res = 0.0
@@ -373,6 +377,8 @@ def _registry_pulses():
 def _beta_conjugate_pair(pulse, omega):
     # independent complex route: carry G, its conjugate-defined partner, and
     # both kappa integrals; beta = (kappa - kappa2)/(4 i omega) must be real
+    from scipy.integrate import solve_ivp
+
     def rhs(s, y):
         fs = float(pulse(np.float64(s)))
         ep = np.exp(1j * omega * s)

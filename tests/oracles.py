@@ -290,6 +290,27 @@ def propagate_bands_per_step(hamiltonian, block, t0, dt, steps):
     return block
 
 
+def propagate_node_run(hamiltonian, block, forces, dt, scale):
+    """fock._propagate_run before the run splitter left: one step per force,
+    interpolated between the node operators of the whole force range, kept
+    as the reference for the node path's bits."""
+    from gcslib.fock import _force_nodes
+
+    nodes, weights = _force_nodes(forces, scale)
+    dim, ncol = block.shape
+    eye = np.eye(dim)
+    stack = np.empty((nodes.size, dim, dim), complex)
+    for j, f in enumerate(nodes):
+        evals, evecs, info = dstevd(hamiltonian.diag, f * hamiltonian.off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstevd failed with info={info} at force {f!r}")
+        u = (evecs * np.exp(-1j * evals * dt)) @ evecs.T
+        stack[j] = u + 0.5 * u @ (eye - u.conj().T @ u)
+    for w in weights:
+        block = (w @ (stack @ block).reshape(nodes.size, -1)).reshape(dim, ncol)
+    return block
+
+
 def tridiagonal_dense(hamiltonian, t):
     """The dense complex matrix of a fock.TridiagonalHamiltonian at time t."""
     f = float(hamiltonian.force(t))

@@ -5,6 +5,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -204,6 +206,33 @@ def test_conflicting_alpha_forms(tmp_path, capsys):
     )
     assert code == 1
     assert "not both" in capsys.readouterr().err
+
+
+def test_alpha_phase_with_alpha_exits_one(tmp_path, capsys):
+    code = cli.main(
+        ["expect", "--alpha", "3", "--alpha-phase", "1.0", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "not both" in capsys.readouterr().err
+
+
+def test_alpha_phase_alone_exits_one(tmp_path, capsys):
+    # a phase without a magnitude once fell back to the default alpha = 3
+    code = cli.main(["expect", "--alpha-phase", "1.0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "--alpha-phase alone" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # every gcs process imports cli; scipy.integrate (and scipy.optimize,
+    # which it pulls in) load only inside the verify suites that use them
+    probe = "import sys, gcslib.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_amplitude_overflow_prints_only_the_error(tmp_path, capsys):

@@ -408,17 +408,30 @@ def test_interpolated_steps_match_one_eigensolve_per_step(kind, amp, dim, steps,
     assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 5e-13
 
 
-def _nodes_per_run(monkeypatch):
-    sizes = []
-    real = fock._force_nodes
+def _record(monkeypatch, name):
+    # every call of fock.<name>, its arguments kept, the call passed through
+    calls = []
+    real = getattr(fock, name)
 
-    def recording(forces, scale):
-        nodes, weights = real(forces, scale)
-        sizes.append(nodes.size)
-        return nodes, weights
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(fock, "_force_nodes", recording)
-    return sizes
+    monkeypatch.setattr(fock, name, recording)
+    return calls
+
+
+def _step_forces(ham, t0, t1, steps):
+    dt = (t1 - t0) / steps
+    return dt, ham.force(t0 + (np.arange(steps) + 0.5) * dt)
+
+
+def _assert_one_eigensolve_per_step(eigensolves, ham, forces):
+    # the per-step branch: one eigensolve at each midpoint force, in order,
+    # and none at a node
+    assert len(eigensolves) == forces.size
+    for (diag, off), f in zip(eigensolves, forces):
+        assert diag is ham.diag and off.tobytes() == (f * ham.off).tobytes()
 
 
 @pytest.mark.parametrize("most", [1, 3, 6])
@@ -429,32 +442,59 @@ def _nodes_per_run(monkeypatch):
 ])
 def test_capped_node_stack_matches_one_eigensolve_per_step(
         monkeypatch, kind, amp, dim, steps, ncol, most):
+    # the whole force range needs more than `most` nodes, so its stack would
+    # pass the cap: every step takes its own eigensolve, and no node operator
+    # is built
     pulse = _force_pulse(kind, amp)
     ham = drive.drive_hamiltonian(pulse, 1.0, dim)
     block = np.eye(dim, dtype=complex)[:, :ncol]
     monkeypatch.setattr(fock, "MAX_STACK_BYTES", most * 16 * dim * dim)
-    sizes = _nodes_per_run(monkeypatch)
+    real = fock._force_nodes
+    sets = _record(monkeypatch, "_force_nodes")
+    eigensolves = _record(monkeypatch, "dstevd")
     got = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
-    assert len(sizes) > 1 and max(sizes) <= most
-    ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, (pulse.t1 - pulse.t0) / steps, steps)
-    assert np.max(np.abs(got - ref)) <= 1e-12
+    dt, forces = _step_forces(ham, pulse.t0, pulse.t1, steps)
+    assert len(sets) == 1 and most < real(*sets[0])[0].size < steps
+    _assert_one_eigensolve_per_step(eigensolves, ham, forces)
+    ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, dt, steps)
+    assert got.tobytes() == ref.tobytes()
     assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 5e-13
 
 
+@pytest.mark.parametrize("kind, amp, dim, steps", [
+    ("table", 5.0, 20, 7),
+    ("table", 20.0, 48, 8),
+    ("sine-burst", 20.0, 60, 10),
+])
+def test_as_many_nodes_as_steps_take_one_eigensolve_per_step(monkeypatch, kind, amp, dim, steps):
+    # m >= steps: a node operator would serve at most one step, so none is built
+    pulse = _force_pulse(kind, amp)
+    ham = drive.drive_hamiltonian(pulse, 1.0, dim)
+    block = np.eye(dim, dtype=complex)[:, :2]
+    dt, forces = _step_forces(ham, pulse.t0, pulse.t1, steps)
+    assert fock._force_nodes(forces, dt * 2.0 * np.max(ham.off))[0].size >= steps
+    eigensolves = _record(monkeypatch, "dstevd")
+    got = fock._propagate(ham, block, pulse.t0, pulse.t1, steps)
+    _assert_one_eigensolve_per_step(eigensolves, ham, forces)
+    ref = oracles.propagate_bands_per_step(ham, block, pulse.t0, dt, steps)
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "rectangular", "sine-burst"])
-def test_benchmark_shape_is_one_run(monkeypatch, kind):
+def test_benchmark_shape_takes_one_node_set(monkeypatch, kind):
     # gcsbench's drive workload: dim 48, 500 steps over [0, 5], |f| <= 0.9;
-    # one run holds at most 9 node operators (332 KB), far under the cap
+    # one node set of at most 9 operators (332 KB), far under the cap, with
+    # the bits of the node path as it was
     pulse = _force_pulse(kind, 0.9)
     pulse = drive.DrivePulse(pulse.name, 0.0, 5.0, pulse.pieces)
     ham = drive.drive_hamiltonian(pulse, 1.25, 48)
     block = np.eye(48, dtype=complex)[:, 1:2]
-    sizes = _nodes_per_run(monkeypatch)
+    real = fock._force_nodes
+    sets = _record(monkeypatch, "_force_nodes")
     got = fock._propagate(ham, block, 0.0, 5.0, 500)
-    assert len(sizes) == 1 and sizes[0] <= 9
-    dt = 5.0 / 500
-    forces = pulse((np.arange(500) + 0.5) * dt)
-    whole = fock._propagate_run(ham, block, forces, dt, dt * 2.0 * np.max(ham.off))
+    assert len(sets) == 1 and real(*sets[0])[0].size <= 9
+    dt, forces = _step_forces(ham, 0.0, 5.0, 500)
+    whole = oracles.propagate_node_run(ham, block, forces, dt, dt * 2.0 * np.max(ham.off))
     assert got.tobytes() == whole.tobytes()
 
 
@@ -473,14 +513,7 @@ def test_force_weights_interpolate_and_pick_hit_nodes():
 
 
 def _count_eigensolves(monkeypatch, pulse, omega, dim, steps):
-    calls = []
-    real = fock.dstevd
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(fock, "dstevd", counting)
+    calls = _record(monkeypatch, "dstevd")
     ham = drive.drive_hamiltonian(pulse, omega, dim)
     fock.schrodinger_evolve(ham, fock.number_state(1, dim), pulse.t0, pulse.t1, steps)
     return len(calls)

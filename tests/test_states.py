@@ -182,6 +182,23 @@ def test_overlap_magnitude_decay_law():
         assert_allclose(got, law, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, alpha", [(700, 40.0), (400, 45.0)])
+def test_overlap_raises_where_the_laguerre_recurrence_leaves_the_float_range(n, alpha):
+    # true values 3.6e-4 and 7e-32; L_n(alpha^2) passes inf on the way
+    with pytest.raises(ValueError, match="float range"):
+        states.overlap(n, 0, alpha)
+
+
+def test_overlap_matches_mpmath_below_the_float_range():
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ref = float(mp.exp(-450) * mp.laguerre(300, 0, 900))
+    got = states.overlap(300, 0, 30)
+    assert got.imag == 0.0 and abs(got.real - ref) <= 1e-14
+    assert abs(ref + 0.0271208908) < 1e-10
+
+
 def test_overlap_vs_matrix_oracle():
     for n in (0, 1, 3):
         ref = oracles.overlap_pair(n, 0.5 + 0.5j, 1.0)
