@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, beamsplitter, drive, fock, specfun, states, verify
 
 ENV_OUT = "GCS_OUT"
-_CONFIG_KEYS = ("dim", "tol", "grid", "out")
+_CONFIG_KEYS = ("dim", "grid", "out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +75,7 @@ def load_config(path):
 def _resolve(args):
     """Fold config-file and environment defaults into the parsed namespace."""
     cfg = load_config(args.config) if args.config else {}
-    for key, cast in (("dim", int), ("tol", float), ("grid", str)):
+    for key, cast in (("dim", int), ("grid", str)):
         if getattr(args, key, None) is None and key in cfg:
             setattr(args, key, cast(cfg[key]))
     if args.out is None:
@@ -215,11 +215,10 @@ def _photon_dist(args, label, grid, times):
 
 
 def _expect(args, label, grid, times):
-    tol = 1e-10 if args.tol is None else args.tol
     g2_value = states.g2(label.n, label.alpha)  # rejects the vacuum up front
-    # without --dim the oracle grows its own dim until the top levels are empty
+    # the oracle accepts a dim only once its top levels are empty; without
+    # --dim it picks its own
     vec = fock.gcs_vector(label.n, label.alpha, args.dim or None, label.omega)
-    vec.guard_tail(tol)
     # N is diagonal in the number basis: its moments are sums over |c_k|^2 k^j
     c, k = vec.coeffs, np.arange(float(vec.dim))
     norm = np.vdot(c, c)
@@ -244,7 +243,7 @@ def _expect(args, label, grid, times):
         "momentum_expectation_t0": states.momentum_expectation(label, 0.0),
     }
     return Output(params, report=report, dim=vec.dim, tail_mass=vec.tail_mass(),
-                  tolerances={"tail": tol})
+                  tolerances={"top_mass": fock.TOP_MASS})
 
 
 def _beamsplit(args, label, grid, times):
@@ -252,7 +251,8 @@ def _beamsplit(args, label, grid, times):
                                          _parse_complex(args.transmission))
     beamsplitter.validate(spec)
     terms = beamsplitter.split_gcs(label.n, label.alpha, spec, label.omega)
-    dim = args.dim or max(fock.min_dim(label.alpha, label.n), 24)
+    reach = max(abs(spec.R), abs(spec.T)) * abs(label.alpha)
+    dim = args.dim or fock.start_dim(reach, label.n)
     joint = beamsplitter.two_mode_oracle(label.n, label.alpha, spec, dim)
     marg3, marg4 = beamsplitter.arm_marginals(joint)
     splitter = {"R": _complex_pair(spec.R), "T": _complex_pair(spec.T)}
@@ -295,8 +295,8 @@ def _build_pulse(args):
 
 def _drive(args, label, grid, times):
     pulse, n, omega = _build_pulse(args), args.n, args.omega
-    z1, b1, tail = drive.response(pulse, omega, pulse.t1)
-    dim = args.dim or max(fock.min_dim(z1, n), 40)
+    z1, b1, tail, reach = drive.response(pulse, omega, pulse.t1)
+    dim = args.dim or fock.start_dim(reach, n)
     vec, label = drive._driven_state(n, pulse, omega, dim, z1, b1)
     hamiltonian = drive.drive_hamiltonian(pulse, omega, dim)
     numeric = fock.schrodinger_evolve(
@@ -347,7 +347,6 @@ class Command:
     grid: object = None  # label -> default SpatialGrid; adds --grid
     frames: int = None  # default frame count over one period; adds --t
     dim: bool = False  # adds --dim
-    tol: bool = False  # adds --tol
     flags: tuple = ()  # (name, add_argument keywords)
     emits: bool = True
 
@@ -365,7 +364,7 @@ COMMANDS = (
     Command("photon-dist", "photon-number distribution", _photon_dist,
             alpha=10.0 + 0.0j, flags=(("--kmax", dict(type=int, default=220)),)),
     Command("expect", "closed-form and oracle expectation report", _expect,
-            n=1, alpha=3.0 + 0.0j, dim=True, tol=True),
+            n=1, alpha=3.0 + 0.0j, dim=True),
     Command("beamsplit", "beamsplitter output decomposition", _beamsplit,
             n=1, alpha=1.0 + 0.0j, dim=True, flags=(
                 ("--R", dict(dest="reflection", default="0,0.7071067811865476",
@@ -446,9 +445,7 @@ def build_parser():
         if command.emits:
             p.add_argument("--omega", type=float, default=1.0)
             p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./gcs-out)")
-            p.add_argument("--config", help="key=value config file (dim, tol, grid, out)")
-        if command.tol:
-            p.add_argument("--tol", type=float, help="tail-mass tolerance for oracles")
+            p.add_argument("--config", help="key=value config file (dim, grid, out)")
         if command.grid is not None:
             p.add_argument("--grid", help="MIN:MAX:POINTS")
         if command.frames is not None:

@@ -51,13 +51,17 @@ class DrivePulse:
             raise ValueError("pulse needs at least one piece")
 
     def __call__(self, t):
+        # each piece runs on one slice of the sorted times (equal times, equal values)
         t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        last = len(self.pieces) - 1
-        for i, (a, b, f) in enumerate(self.pieces):
-            sel = (t >= a) & ((t <= b) if i == last else (t < b))
-            if np.any(sel):
-                out[sel] = f(t[sel])
+        ts = np.sort(t, axis=None)
+        values = np.zeros(ts.size)
+        a, b = np.array([(a, b) for a, b, _ in self.pieces]).T
+        lo, hi = np.searchsorted(ts, a), np.searchsorted(ts, b)
+        hi[-1] = np.searchsorted(ts, b[-1], side="right")
+        for (_, _, f), i, j in zip(self.pieces, lo, hi):
+            if j > i:
+                values[i:j] = f(ts[i:j])
+        out = values[np.searchsorted(ts, t)]
         return float(out) if t.ndim == 0 else out
 
 
@@ -148,11 +152,13 @@ def _check_time(pulse, t):
 
 
 class Response(NamedTuple):
-    """zeta(t), beta(t), and the error estimate of the sweep that gave them."""
+    """zeta(t), beta(t), the error estimate of the sweep that gave them, and
+    reach, the peak of |zeta| over the sampled times up to t."""
 
     zeta: complex
     beta: float
     tail: float
+    reach: float
 
 
 def _chebyshev_coefficients(values):
@@ -199,7 +205,7 @@ def _values_at_nodes(c):
 # of h are at most _TAIL_RTOL of their scale (max|f| for g, max|f| times
 # max|G_p - G(a)| for h), well above the ~1e-16 roundoff plateau of the FFT.
 _N0, _N_MAX, _TAIL_RTOL = 16, 4096, 1e-13
-RESPONSE_TOL = 1e-10
+RESPONSE_TOL = 1e-10  # of the peak |G| for zeta, of its square for beta
 
 
 def response(pulse, omega, t):
@@ -220,9 +226,12 @@ def response(pulse, omega, t):
     of g and h are at most 1e-13 of their sample scale.
 
     `tail`, the error estimate, sums over pieces the piece length times those
-    last coefficients of g and of h.  Raises QuadratureError when a sample is
-    not finite, when a piece is still unresolved at N = 4096, or when the
-    tail exceeds RESPONSE_TOL = 1e-10.
+    last coefficients of g and of h.  `reach` is max_p (|G(a_p)| +
+    max|G_p - G(a_p)|) / sqrt(2 omega) over the samples, a bound on the peak
+    of |zeta| on [t0, t]; it is 0 when t = t0.  Raises QuadratureError when a
+    sample is not finite, when a piece is still unresolved at N = 4096, or
+    when the g part of the tail exceeds RESPONSE_TOL = 1e-10 times that peak
+    |G| or the h part exceeds RESPONSE_TOL times its square.
     """
     _check_omega(omega)
     _check_time(pulse, t)
@@ -236,7 +245,7 @@ def response(pulse, omega, t):
     hi = np.array([span[1] for span in spans], dtype=np.float64)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     integral = np.zeros(len(spans), complex)
-    local, tail = np.zeros(len(spans)), np.zeros(len(spans))
+    local, tail, tail_beta, peak = (np.zeros(len(spans)) for _ in range(4))
     pending, n = np.arange(len(spans)), _N0
     while pending.size:
         if n > _N_MAX:
@@ -273,21 +282,28 @@ def response(pulse, omega, t):
         integral[done] = half[done] * big[ok].sum(axis=1)
         local[done] = half[done] * (ch[ok] @ weights)
         tail[done] = 2.0 * half[done] * (tail_g[ok] + tail_h[ok])
+        tail_beta[done] = 2.0 * half[done] * tail_h[ok]
+        peak[done] = np.max(np.abs(g_local[ok]), axis=1)
         pending, n = pending[~ok], 2 * n
-    est = float(tail.sum())
-    if not est <= RESPONSE_TOL:
-        raise QuadratureError(f"zeta/beta error estimate {est:.3e} > {RESPONSE_TOL:.0e}")
     starts = np.cumsum(integral) - integral
+    peak_g = float(np.max(np.abs(starts) + peak, initial=0.0))
+    est, est_beta = float(tail.sum()), float(tail_beta.sum())
+    if not (est - est_beta <= RESPONSE_TOL * peak_g and est_beta <= RESPONSE_TOL * peak_g**2):
+        raise QuadratureError(
+            f"zeta/beta error estimate {est:.3e} > {RESPONSE_TOL:.0e} of the peak "
+            f"|G| = {peak_g:.3e} (of its square for beta)"
+        )
     beta = (local.sum() + np.sum(np.imag(starts * np.conj(integral)))) / (2.0 * omega)
-    return Response(complex(-1j / math.sqrt(2.0 * omega) * np.conj(integral.sum())),
-                    float(beta), est)
+    root = math.sqrt(2.0 * omega)
+    return Response(complex(-1j / root * np.conj(integral.sum())), float(beta), est,
+                    peak_g / root)
 
 
 def zeta(pulse, omega, t):
     """-(i/sqrt(2 omega)) * integral of f(s) e^{i omega s} from t0 to t.
 
     The zeta of `response`, which raises QuadratureError when the Chebyshev
-    sweep fails or its error estimate exceeds RESPONSE_TOL = 1e-10.
+    sweep fails or its error estimate exceeds RESPONSE_TOL of its scale.
     """
     return response(pulse, omega, t).zeta
 
@@ -296,22 +312,15 @@ def beta_phase(pulse, omega, t):
     """Real phase (1/2w) double integral of f(t')f(t'') sin(w(t'-t'')) over t'' < t'.
 
     The beta of `response`, which raises QuadratureError when the Chebyshev
-    sweep fails or its error estimate exceeds RESPONSE_TOL = 1e-10.
+    sweep fails or its error estimate exceeds RESPONSE_TOL of its scale.
     """
     return response(pulse, omega, t).beta
 
 
 def drive_hamiltonian(pulse, omega, dim):
-    """H0 + f(t) x for direct Schrodinger integration.
-
-    A fock.TridiagonalHamiltonian with bands (k + 1/2) omega and
-    f(t) sqrt(k + 1)/sqrt(2 omega), which fock._propagate integrates without
-    forming the dense matrix.  It diagonalises the bands only at m force
-    nodes, m the least count with 2 (r dt ||X||/2)^m / m! <= 1e-17 (r the
-    half-width of the force range, ||X|| <= 2 sqrt((dim - 1)/(2 omega))), and
-    keeps those m dim^2 16 bytes of step operators; when m is not below the
-    step count or the operators would pass fock.MAX_STACK_BYTES, each step
-    takes its own eigensolve instead.
+    """H0 + f(t) x for direct Schrodinger integration: a
+    fock.TridiagonalHamiltonian with bands (k + 1/2) omega and
+    f(t) sqrt(k + 1)/sqrt(2 omega), integrated without a dense matrix.
     """
     _check_omega(omega)
     return fock.TridiagonalHamiltonian(
@@ -326,7 +335,7 @@ def time_development(pulse, omega, dim):
 
     dim must be tail-safe for |zeta| (TruncationError otherwise).
     """
-    z1, b1, _ = response(pulse, omega, pulse.t1)
+    z1, b1 = response(pulse, omega, pulse.t1)[:2]
     disp = fock.displacement_matrix(z1 * np.exp(-1j * omega * pulse.t1), dim)
     free = np.exp(-1j * (np.arange(dim) + 0.5) * omega * (pulse.t1 - pulse.t0))
     return np.exp(1j * b1) * (disp * free[None, :])
@@ -341,7 +350,7 @@ def drive_number_state(n, pulse, omega, dim):
     and they agree with the returned vector up to a global phase.  dim must
     be tail-safe for level n at |zeta| (TruncationError otherwise).
     """
-    z1, b1, _ = response(pulse, omega, pulse.t1)
+    z1, b1 = response(pulse, omega, pulse.t1)[:2]
     return _driven_state(n, pulse, omega, dim, z1, b1)
 
 

@@ -9,17 +9,14 @@ sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
 (1969)).  So one LAPACK dstevd, X = V Lambda V^T, gives
 D(alpha) = P V e^{-i |alpha| Lambda} V^T P^H; one guarded routine forms any
 set of its columns, a single one in O(dim^2) after the eigensolve.  The
-integrator takes a TridiagonalHamiltonian only: it diagonalises at m nodes
-of the force, m chosen so that the interpolation bound
-2 (r dt ||X||/2)^m / m! is at most 1e-17, and keeps the m step operators,
-m dim^2 16 bytes, when m is below the step count and the stack fits in
-MAX_STACK_BYTES; otherwise every step takes its own eigensolve.
+integrator takes a TridiagonalHamiltonian only, and diagonalises it at a few
+nodes of the force (see there).
 
 Everything here is an independent cross-check for the closed forms in
 states.py, so it deliberately shares no code with them.  Matrices are plain
 complex ndarrays in the number basis at t = 0; callers fold Schrodinger
 phases into their complex labels.  Truncation corrupts the top of the basis,
-hence the tail-mass guards below.
+so one rule, in _displaced_columns, decides every dim.
 """
 
 import math
@@ -33,10 +30,9 @@ class TruncationError(Exception):
     """The truncated dimension cannot hold the requested state safely."""
 
 
-# gcs_vector without a dim grows its dim by this factor until the top
-# TOP_LEVELS levels of the column hold at most TOP_MASS.  No dim above
-# MAX_DIM is accepted: the eigensolve holds two dim^2 float64 arrays and a
-# displacement matrix 16 dim^2 bytes, 1 GiB at the cap.
+# The truncation rule's measured mass, and the growth factor from start_dim.
+# No dim above MAX_DIM is accepted: the eigensolve holds two dim^2 float64
+# arrays and a displacement matrix 16 dim^2 bytes, 1 GiB at the cap.
 GROWTH, TOP_LEVELS, TOP_MASS = 1.25, 5, 1e-14
 MAX_DIM = 8192
 # The integrator holds at most this many bytes of node operators; past it,
@@ -44,26 +40,29 @@ MAX_DIM = 8192
 MAX_STACK_BYTES = 64 << 20
 
 
-def min_dim(alpha, n=0):
-    """Starting dimension for displacing level n by alpha, and the least one
-    the tail guards accept.
-
-    A displaced number state has essentially all its weight below
-    |alpha|^2 + O(|alpha|); the margin 6|alpha| + 10 + 2n pushes the
-    neglected tail under ~1e-9 for |alpha| <= 3, n <= 5.  Beyond that range
-    it is only a starting size: gcs_vector without a dim grows from it until
-    the measured top-level mass is small enough.  Raises ValueError for a
-    non-finite alpha and TruncationError when the size is above MAX_DIM.
-    """
+def _edge(alpha, n):
+    # the classical edge (|alpha| + sqrt(n + 1/2))^2 of D(alpha)|n>
     a = abs(alpha)
     if not math.isfinite(a):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    need = a * a + 6.0 * a + 10.0 + 2 * n
-    if need >= MAX_DIM:
-        raise TruncationError(
-            f"n={n}, |alpha|={a:.6g} needs dim > {need:.6g}, above MAX_DIM={MAX_DIM}"
-        )
-    return int(math.floor(need)) + 1
+    root = a + math.sqrt(n + 0.5)
+    edge = root * root
+    if not edge < MAX_DIM:
+        raise TruncationError(f"n={n}, |alpha|={a:.6g}: the classical edge {edge:.6g} "
+                              f"is above MAX_DIM={MAX_DIM}")
+    return edge
+
+
+def start_dim(alpha, n=0):
+    """ceil(e + 7|alpha| + 2 sqrt n + 12), e the classical edge of level n:
+    the dim the columns guarded at n start from, never short on a grid up to
+    e = 650.  TruncationError above MAX_DIM, ValueError for a non-finite alpha.
+    """
+    dim = math.ceil(_edge(alpha, n) + 7.0 * abs(alpha) + 2.0 * math.sqrt(n) + 12.0)
+    if dim > MAX_DIM:
+        raise TruncationError(f"n={n}, |alpha|={abs(alpha):.6g} starts at dim {dim}, "
+                              f"above MAX_DIM={MAX_DIM}")
+    return dim
 
 
 def _check_dim(dim):
@@ -94,40 +93,57 @@ def _tridiagonal_eigh(diag, off):
 
 
 def _displaced_columns(alpha, dim, n, cols):
-    """Columns cols of D(alpha) at size dim, guarded for displacing level n.
+    """Columns cols of D(alpha), which must include n, at a dim safe for level n.
 
-    The one tail guard: TruncationError unless n < dim/2 and
-    dim >= min_dim(alpha, n).  One dstevd on X (zero diagonal, off-diagonal
-    sqrt(k)) and one real product form P V (e^{-i |alpha| lambda} * V[cols]^T)
-    P[cols]^H, P = i^k e^{ik arg alpha}; alpha = 0 gives identity columns
-    exactly.
+    The one truncation rule: a dim is accepted only above the classical edge
+    e = (|alpha| + sqrt(n + 1/2))^2 and only when the top TOP_LEVELS levels of
+    column n hold at most TOP_MASS; TruncationError otherwise.  Below e the
+    truncated operator can nearly revive (at n = 0, |alpha| = 12 the column
+    at dim 33 or 40 is mostly |0>, its top empty).  With dim None the columns
+    start at start_dim(alpha, n) and grow by GROWTH on that mass.  Per dim,
+    one dstevd on X (zero diagonal, off-diagonal sqrt(k)) and one real product
+    form P V (e^{-i |alpha| lambda} * V[cols]^T) P[cols]^H,
+    P = i^k e^{ik arg alpha}; alpha = 0 gives identity columns exactly.
     """
-    _check_dim(dim)
-    if not n < dim / 2:
-        raise TruncationError(f"n={n} too close to the truncation edge dim={dim}")
-    need = min_dim(alpha, n)
-    if dim < need:
-        raise TruncationError(
-            f"dim={dim} too small for n={n}, |alpha|={abs(alpha):.3f}; need at least {need}"
-        )
+    edge = _edge(alpha, n)
+    grows = dim is None
+    if grows:
+        dim = start_dim(alpha, n)
+    else:
+        _check_dim(dim)
+        if not dim > edge:
+            raise TruncationError(f"dim={dim} is not above the classical edge {edge:.6g} "
+                                  f"of n={n}, |alpha|={abs(alpha):.6g}")
     alpha = complex(alpha)
-    if alpha == 0:
-        return np.eye(dim, dtype=complex)[:, cols]
-    evals, v = _tridiagonal_eigh(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
-    k = np.arange(dim)
-    p = np.array([1.0, 1j, -1.0, -1j])[k % 4] * np.exp(1j * k * np.angle(alpha))
-    w = np.exp(-1j * abs(alpha) * evals)[:, None] * v[cols].T * p[cols].conj()
-    out = v @ np.concatenate([w.real, w.imag], axis=1)
-    m = w.shape[1]
-    return p[:, None] * (out[:, :m] + 1j * out[:, m:])
+    while True:
+        k = np.arange(dim)
+        if alpha == 0:
+            out = np.eye(dim, dtype=complex)[:, cols]
+        else:
+            evals, v = _tridiagonal_eigh(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+            p = np.array([1.0, 1j, -1.0, -1j])[k % 4] * np.exp(1j * k * np.angle(alpha))
+            w = np.exp(-1j * abs(alpha) * evals)[:, None] * v[cols].T * p[cols].conj()
+            out = v @ np.concatenate([w.real, w.imag], axis=1)
+            m = w.shape[1]
+            out = p[:, None] * (out[:, :m] + 1j * out[:, m:])
+        at = np.flatnonzero(k[cols] == n)[0]
+        top = float(np.sum(np.abs(out[-TOP_LEVELS:, at]) ** 2))
+        if top <= TOP_MASS:
+            return out
+        where = f"the top {TOP_LEVELS} levels of column n={n} hold {top:.3e} at dim={dim}"
+        if not grows:
+            raise TruncationError(f"{where}, over TOP_MASS={TOP_MASS:.0e}")
+        dim = math.ceil(GROWTH * dim)
+        if dim > MAX_DIM:
+            raise TruncationError(f"{where}, and the next dim {dim} is above MAX_DIM={MAX_DIM}")
 
 
 def displacement_matrix(alpha, dim):
     """Displacement operator exp(alpha adag - conj(alpha) a), truncated to dim.
 
     Every column of the eigensolve form (see the module docstring); alpha = 0
-    gives the identity exactly.  Raises TruncationError below min_dim(alpha),
-    where the truncated operator is no longer unitary to machine precision.
+    gives the identity exactly.  The rule of _displaced_columns guards column
+    0 only; the top columns are those of the truncated operator.
     """
     return _displaced_columns(alpha, dim, 0, slice(None))
 
@@ -170,26 +186,11 @@ def gcs_vector(n, alpha, dim=None, omega=1.0):
     """Displaced number state D(alpha)|n>: column n of the displacement matrix.
 
     O(dim^2) after the one eigensolve per dim; no dim x dim complex matrix is
-    formed.  With dim None it starts at max(min_dim(alpha, n) + 24, 48) and
-    grows by GROWTH until the top TOP_LEVELS levels hold at most TOP_MASS,
-    raising TruncationError if that takes a dim above MAX_DIM.  A given dim is
-    used as it is, and raises TruncationError below min_dim(alpha, n).
+    formed.  dim is accepted or grown by the rule of _displaced_columns
+    (TruncationError otherwise).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if dim is None:
-        dim = max(min_dim(alpha, n) + 24, 48)
-        vec = gcs_vector(n, alpha, dim, omega)
-        while vec.tail_mass(TOP_LEVELS) > TOP_MASS:
-            dim = math.ceil(GROWTH * dim)
-            if dim > MAX_DIM:
-                raise TruncationError(
-                    f"n={n}, |alpha|={abs(alpha):.6g}: the top {TOP_LEVELS} levels "
-                    f"hold {vec.tail_mass(TOP_LEVELS):.3e} at dim={vec.dim}, and the "
-                    f"next dim {dim} is above MAX_DIM={MAX_DIM}"
-                )
-            vec = gcs_vector(n, alpha, dim, omega)
-        return vec
     return FockVector(_displaced_columns(alpha, dim, n, [n])[:, 0], omega)
 
 
@@ -210,14 +211,10 @@ class TridiagonalHamiltonian:
     The only Hamiltonian the integrator takes.  _propagate samples force (a
     vectorised t -> f(t)) once at every midpoint and interpolates the step
     operator U(f) = exp(-i dt (diag + f off)), an entire function of f with
-    ||d^j U/df^j|| <= (dt ||X||)^j and ||X|| <= 2 max|off|.  LAPACK's real
-    tridiagonal dstevd runs only at the m Chebyshev nodes of the force range
-    [f_min, f_max] of half-width r, m the least count with
-    2 (r dt ||X||/2)^m / m! <= 1e-17, or at the distinct midpoint forces
-    when there are no more than m of them.  The m node operators take
-    m dim^2 16 bytes.  When m is not below the step count, or the operators
-    would pass MAX_STACK_BYTES (64 MiB), no operator is formed: each step
-    applies its own eigenvectors, V e^{-i Lambda dt} V^T, to the block.
+    ||d^j U/df^j|| <= (dt ||X||)^j and ||X|| <= 2 max|off|.  dstevd runs only
+    at the m nodes of _force_nodes.  When m is not below the step count, or
+    the m dim^2 16 bytes of node operators would pass MAX_STACK_BYTES, none
+    is formed: each step applies its own V e^{-i Lambda dt} V^T to the block.
     """
 
     diag: np.ndarray

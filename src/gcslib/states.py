@@ -133,11 +133,8 @@ def overlap(n, beta, alpha):
 
 def orthonormality_check(n, m, alpha, dim=None):
     """|<n,alpha|m,alpha> - delta_nm| from displacement-matrix columns m and
-    n alone, guarded for displacing level max(n, m)."""
-    top = max(n, m)
-    if dim is None:
-        dim = fock.min_dim(alpha, top)
-    cols = fock._displaced_columns(alpha, dim, top, [m, n])
+    n alone, at a dim the Fock oracle accepts for level max(n, m)."""
+    cols = fock._displaced_columns(alpha, dim, max(n, m), [m, n])
     ip = np.vdot(cols[:, 0], cols[:, 1])
     return float(abs(ip - (1.0 if n == m else 0.0)))
 
@@ -490,14 +487,13 @@ def completeness_defect(alpha, big_n, d):
     """How far sum_{n<=N} |n,alpha><n,alpha| is from identity on levels < d.
 
     Max-abs deviation of the d x d leading block from the identity; the sum
-    is evaluated through the first N displacement-matrix columns, guarded
-    for displacing level N - 1.
+    is evaluated through the first N displacement-matrix columns, at a dim
+    the Fock oracle picks for level N - 1.
     """
     if not isinstance(big_n, (int, np.integer)) or big_n < 1:
         raise ValueError(f"N must be a positive integer, got {big_n!r}")
     if not isinstance(d, (int, np.integer)) or not 0 < d <= big_n:
         raise ValueError(f"d must be an integer in 1..N, got {d!r}")
-    dim = max(fock.min_dim(alpha, big_n - 1), d)
-    cols = fock._displaced_columns(alpha, dim, big_n - 1, slice(0, big_n))
+    cols = fock._displaced_columns(alpha, None, big_n - 1, slice(0, big_n))
     block = (cols @ cols.conj().T)[:d, :d]
     return float(np.max(np.abs(block - np.eye(d))))

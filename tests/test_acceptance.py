@@ -92,9 +92,8 @@ def test_criterion_3_coherence_closed_form():
     worst_at = None
     for alpha in ALPHAS:
         for n in range(6):
-            dim = fock.min_dim(alpha, n) + 30
-            vec = fock.gcs_vector(n, alpha, dim)
-            _, _, num = fock.ladder_matrices(dim)
+            vec = fock.gcs_vector(n, alpha)
+            _, _, num = fock.ladder_matrices(vec.dim)
             mean = fock.expectation(num, vec).real
             second = fock.expectation(num * num, vec).real
             measured = (second - mean) / mean**2

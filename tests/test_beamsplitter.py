@@ -162,7 +162,7 @@ def test_arm_matrices_match_the_per_term_oracle():
     # the old loop (one number_expansion per arm per term) as the reference,
     # at the truncation gcs beamsplit picks
     for n, alpha, spec in _oracle_sweep():
-        dim = max(fock.min_dim(alpha, n), 24)
+        dim = fock.start_dim(max(abs(spec.R), abs(spec.T)) * abs(alpha), n)
         joint = bs.two_mode_oracle(n, alpha, spec, dim)
         ref = oracles.two_mode_oracle_per_term(n, alpha, spec, dim)
         assert np.max(np.abs(joint - ref)) <= 1e-15, (n, alpha, spec)

@@ -148,14 +148,17 @@ def test_expect_report(tmp_path, capsys):
     assert_allclose(rep["energy_expectation"], 10.5)
     assert_allclose(rep["position_expectation_t0"], 3.0 * math.sqrt(2.0))
     manifest = _read_json(out / "manifest.json")
-    assert manifest["truncation_dimension"] >= 48
-    assert manifest["tolerances"] == {"tail": 1e-10}
+    assert manifest["truncation_dimension"] == fock.start_dim(3.0, 1) == 53
+    assert manifest["tolerances"] == {"top_mass": fock.TOP_MASS}
 
 
 @pytest.mark.parametrize("n,alpha,dim", [(50, 10, 369), (100, 15, 860)])
-def test_expect_grows_dim_past_the_starting_size(tmp_path, capsys, n, alpha, dim):
-    # the starting size min_dim + 24 (295, 550) leaves 1.2e-2 and 2.4e-3 of
-    # the mass in the last level, which used to exit 3
+def test_expect_grows_dim_past_the_starting_size(tmp_path, capsys, monkeypatch, n, alpha, dim):
+    # started at 295 and 550, the oracle keeps 1.2e-2 and 2.4e-3 of the mass
+    # in its last level and grows by 1.25x until its top five levels hold
+    # <= 1e-14
+    start = {50: 295, 100: 550}[n]
+    monkeypatch.setattr(fock, "start_dim", lambda alpha, n=0: start)
     out = tmp_path / "e"
     assert cli.main(["expect", "--n", str(n), "--alpha", str(alpha), "--out", str(out)]) == 0
     rep = _read_json(out / "expect.json")
@@ -165,10 +168,31 @@ def test_expect_grows_dim_past_the_starting_size(tmp_path, capsys, n, alpha, dim
     assert _read_json(out / "manifest.json")["truncation_dimension"] == dim
 
 
-def test_expect_oracle_at_a_grown_dim_is_clean(tmp_path, capsys):
-    # at (20, 6) the starting dim 147 keeps 4.5e-13 in its top five levels;
-    # it grows to 184, where the variance is within 1e-14 relative (2.6e-14
-    # at 147)
+@pytest.mark.parametrize("n,alpha,dim", [(50, 10, 389), (100, 15, 764)])
+def test_expect_starts_at_a_dim_that_holds(tmp_path, capsys, monkeypatch, n, alpha, dim):
+    # start_dim is never short: one eigensolve, at the dim the manifest names
+    dims = []
+    real = fock.dstevd
+
+    def counted(d, e, *args):
+        dims.append(d.shape[0])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(fock, "dstevd", counted)
+    out = tmp_path / "e"
+    assert cli.main(["expect", "--n", str(n), "--alpha", str(alpha), "--out", str(out)]) == 0
+    rep = _read_json(out / "expect.json")
+    z = alpha * alpha
+    assert_allclose(rep["mean_photon_oracle"], n + z, rtol=1e-12)
+    assert_allclose(rep["photon_variance_oracle"], (2 * n + 1) * z, rtol=1e-12)
+    assert _read_json(out / "manifest.json")["truncation_dimension"] == dim
+    assert dims == [dim]
+
+
+def test_expect_oracle_at_a_grown_dim_is_clean(tmp_path, capsys, monkeypatch):
+    # started at 147, (20, 6) keeps 4.5e-13 in its top five levels; it grows
+    # to 184, where the variance is within 1e-14 relative (2.6e-14 at 147)
+    monkeypatch.setattr(fock, "start_dim", lambda alpha, n=0: 147)
     out = tmp_path / "e"
     assert cli.main(["expect", "--n", "20", "--alpha", "6", "--out", str(out)]) == 0
     rep = _read_json(out / "expect.json")
@@ -181,18 +205,19 @@ def test_expect_with_dim_does_not_grow(tmp_path, capsys):
     code = cli.main(["expect", "--n", "50", "--alpha", "10", "--dim", "295",
                      "--out", str(tmp_path)])
     assert code == 3
-    assert "tail mass 1.162e-02 exceeds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "top 5 levels of column n=50 hold 4.059e-02 at dim=295, over TOP_MASS=1e-14" in err
 
 
 def test_expect_above_the_dim_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # |alpha| = 200 would start the oracle at dim ~41,000 (two 13 GB arrays)
+    # |alpha| = 200 puts the classical edge at ~40,500 (two 13 GB arrays)
     def no_eigensolve(*args):
         raise AssertionError("dstevd must not run")
 
     monkeypatch.setattr(fock, "dstevd", no_eigensolve)
     code = cli.main(["expect", "--alpha", "200", "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "needs dim > 41212, above MAX_DIM=8192" in capsys.readouterr().err
+    assert "classical edge 40491.4 is above MAX_DIM=8192" in capsys.readouterr().err
 
 
 def test_expect_rejects_vacuum(tmp_path, capsys):
@@ -270,6 +295,19 @@ def test_beamsplit_report(tmp_path, capsys):
     assert_allclose(rep["arm3_mean_analytic"], half)
 
 
+def test_beamsplit_sizes_from_the_brighter_arm(tmp_path, capsys):
+    # |R| = 0.949 carries |R alpha| = 5.69: start_dim(5.69, 30) = 189, where
+    # the closed form captures every arm row
+    out = tmp_path / "b"
+    argv = ["beamsplit", "--n", "30", "--alpha", "6", "--R", "0,0.9486832980505138",
+            "--T", "0.31622776601683794,0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(rep["joint_norm"] - 1.0) <= 1e-12
+    assert_allclose(rep["arm3_mean"], rep["arm3_mean_analytic"], rtol=1e-12)
+    assert _read_json(out / "manifest.json")["truncation_dimension"] == 189
+
+
 def test_beamsplit_rejects_non_unitary(tmp_path, capsys):
     code = cli.main(
         ["beamsplit", "--R", "0.70710678,0", "--T", "0.70710678,0",
@@ -298,13 +336,32 @@ def test_drive_report(tmp_path, capsys):
 
 
 def test_drive_dim_guard_counts_the_level(tmp_path, capsys):
-    # the default pulse gives |zeta| = 0.626, so min_dim(zeta) = 15 and
-    # min_dim(zeta, 3) = 21: level 3 needs dim 21, and 20 exits 3
+    # the default pulse gives |zeta| = 0.626: level 0 holds from dim 18 and
+    # level 3 from dim 22, so 21 exits 3 for level 3; without --dim, level 3
+    # starts at start_dim(reach, 3) = 27
     base = ["drive", "--n", "3", "--steps", "50", "--out", str(tmp_path / "o")]
-    assert cli.main([*base, "--dim", "20"]) == 3
-    assert "dim=20 too small for n=3" in capsys.readouterr().err
-    assert cli.main([*base, "--dim", "21"]) == 0
-    assert _read_json(tmp_path / "o" / "manifest.json")["truncation_dimension"] == 21
+    assert cli.main([*base, "--dim", "21"]) == 3
+    assert "column n=3 hold 2.692e-13 at dim=21, over TOP_MASS" in capsys.readouterr().err
+    assert cli.main([*base, "--dim", "22"]) == 0
+    assert _read_json(tmp_path / "o" / "manifest.json")["truncation_dimension"] == 22
+    assert cli.main(["drive", "--n", "0", "--steps", "50", "--dim", "18",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert cli.main(base) == 0
+    assert _read_json(tmp_path / "o" / "manifest.json")["truncation_dimension"] == 27
+
+
+def test_there_and_back_drive_is_sized_by_its_reach(tmp_path, capsys):
+    # one sine period: zeta(t1) ~ 1e-15, but |zeta| peaks at 6.6 mid-pulse, so
+    # the numeric oracle needs the dim of the reach (107), not of zeta(t1)
+    out = tmp_path / "d"
+    argv = ["drive", "--pulse", "sine-burst", "--freq", "2", "--t1", "6.283185307179586",
+            "--amplitude", "6", "--n", "2", "--steps", "300", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(complex(rep["zeta"]["re"], rep["zeta"]["im"])) <= 1e-14
+    assert rep["fidelity_analytic_vs_numeric"] >= 1.0 - 1e-6
+    assert rep["fidelity_label_vs_numeric"] >= 1.0 - 1e-6
+    assert _read_json(out / "manifest.json")["truncation_dimension"] == 107
 
 
 def test_drive_table_pulse(tmp_path, capsys):
@@ -483,24 +540,21 @@ def test_alpha_whose_square_overflows_exits_one(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [c.name for c in cli.COMMANDS if c.emits])
-def test_only_expect_takes_tol(tmp_path, capsys, command):
+def test_no_command_takes_tol(tmp_path, capsys, command):
+    # every column the oracle accepts holds <= TOP_MASS in its top levels,
+    # so a tail tolerance could only fail a run
     argv = [command, *SMALL_RUNS[command], "--tol", "0.5", "--out", str(tmp_path / "o")]
-    if command == "expect":
-        assert cli.main(argv) == 0
-        assert _read_json(tmp_path / "o" / "manifest.json")["tolerances"] == {"tail": 0.5}
-    else:
-        assert cli.main(argv) == 1
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert cli.main(argv) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_config_tol_reaches_expect(tmp_path, capsys):
+def test_config_tol_key_is_unknown(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol = 1e-6\n", encoding="utf-8")
     out = tmp_path / "o"
-    assert cli.main(["expect", "--alpha", "2", "--config", str(cfg), "--out", str(out)]) == 0
-    assert _read_json(out / "manifest.json")["tolerances"] == {"tail": 1e-6}
-    # the key stays allowed for every command; only expect reads it
-    assert cli.main(["photon-dist", "--kmax", "30", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["expect", "--alpha", "2", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config key 'tol'" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path, capsys):

@@ -52,6 +52,27 @@ def test_rectangular_pulse_values():
     assert_allclose(pulse(np.array([0.5, 1.0, 2.0, 3.5])), [0.0, 2.0, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("pulse", [
+    drive.table_pulse(np.linspace(0.0, 5.0, 401), np.sin(np.linspace(0.0, 5.0, 401))),
+    drive.table_pulse(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 3.0])),
+    drive.rectangular_pulse(2.0, 1.0, 3.0, 0.0, 4.0),
+    drive.rectangular_pulse(0.7, 0.0, 4.0, 0.0, 4.0),
+], ids=["table-401", "table-3", "rectangular", "rectangular-whole"])
+def test_pulse_search_is_the_mask_form_bit_for_bit(pulse):
+    # times on every piece edge, just off them, outside [t0, t1], unsorted
+    # and repeated, NaN, and the 500 midpoints of a drive run
+    edges = np.array([a for a, _, _ in pulse.pieces] + [pulse.t1])
+    span = pulse.t1 - pulse.t0
+    times = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        pulse.t0 + (np.arange(500) + 0.5) * span / 500, edges[::-1], [np.nan, -1.0],
+    ])
+    for t in (times, times.reshape(2, -1)):
+        assert pulse(t).tobytes() == oracles.pulse_by_masks(pulse, t).tobytes()
+    for t in edges[[0, 1, -2, -1]]:
+        assert pulse(t) == oracles.pulse_by_masks(pulse, t)
+
+
 def test_sine_burst_values():
     pulse = drive.sine_burst_pulse(1.5, 2.0, 1.0, 4.0, phase=0.3)
     ts = np.linspace(1.0, 4.0, 7)
@@ -160,12 +181,44 @@ def test_zeta_reports_quadrature_failure():
                 call(pulse, 1.0, 4.0)
 
 
-def test_response_rejects_an_estimate_above_tolerance():
-    # resolved to 1e-13 of its scale, a force of 1e6 leaves a tail of ~1e-8
-    pulse = drive.gaussian_pulse(1e6, 2.5, 0.5, 0.0, 5.0)
-    with pytest.raises(drive.QuadratureError, match="error estimate"):
-        drive.response(pulse, 1.0, 5.0)
+def test_response_rejects_an_estimate_above_tolerance(monkeypatch):
+    # pieces resolved to only 1e-4 of their scale leave a tail far above
+    # 1e-10 of the peak |G|, whatever the amplitude
+    monkeypatch.setattr(drive, "_TAIL_RTOL", 1e-4)
+    for amplitude in (0.8, 1e6):
+        pulse = drive.gaussian_pulse(amplitude, 2.5, 0.5, 0.0, 5.0)
+        with pytest.raises(drive.QuadratureError, match="error estimate .* of the peak"):
+            drive.response(pulse, 1.0, 5.0)
+    monkeypatch.undo()
     assert drive.response(drive.gaussian_pulse(*GAUSS_ARGS), 1.0, 5.0).tail <= 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [27.0, 30.0])
+def test_response_guard_scales_with_the_force(amplitude):
+    # the tail grows like the amplitude for zeta and like its square for
+    # beta (1.238e-10 at amplitude 30, above an absolute 1e-10); measured
+    # against the peak |G| it passes, and the sweep is accurate to 1e-12
+    pulse = drive.gaussian_pulse(amplitude, 2.5, 0.5, 0.0, 5.0)
+    got = drive.response(pulse, 1.0, 5.0)
+    zeta, beta = oracles.zeta_quad(pulse, 1.0, 5.0), oracles.beta_phase_ode(pulse, 1.0, 5.0)
+    assert abs(got.zeta - zeta) <= 1e-12 * abs(zeta)
+    assert abs(got.beta - beta) <= 1e-12 * abs(beta)
+    # zeta is linear in the force and beta quadratic, up to amplitude 1e6
+    weak = drive.response(drive.gaussian_pulse(*GAUSS_ARGS), 1.0, 5.0)
+    for scale in (amplitude / 0.8, 1e6 / 0.8):
+        big = drive.response(drive.gaussian_pulse(0.8 * scale, 2.5, 0.5, 0.0, 5.0), 1.0, 5.0)
+        assert abs(big.zeta - scale * weak.zeta) <= 1e-12 * abs(big.zeta)
+        assert abs(big.beta - scale**2 * weak.beta) <= 1e-12 * abs(big.beta)
+
+
+def test_response_reach_bounds_the_peak_of_zeta():
+    # one sine period: zeta returns to ~0 at t1, but |zeta| peaks mid-pulse
+    pulse = drive.sine_burst_pulse(6.0, 2.0, 0.0, 2.0 * math.pi)
+    got = drive.response(pulse, 1.0, pulse.t1)
+    peak = max(abs(drive.zeta(pulse, 1.0, t)) for t in np.linspace(0.0, pulse.t1, 201))
+    assert abs(got.zeta) <= 1e-14
+    assert peak * (1.0 - 1e-12) <= got.reach <= peak * (1.0 + 1e-3)
+    assert drive.response(pulse, 1.0, 0.0).reach == 0.0
 
 
 def test_beta_vanishes_at_start():

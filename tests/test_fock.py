@@ -65,10 +65,17 @@ def test_displacement_unitary_block():
 ])
 def test_displacement_matches_expm_oracle(alpha, dim):
     # the eigensolve form against scipy's expm of the dense generator
+    # every column the rule returns matches; the n = dim // 4 columns it
+    # refuses at the three larger |alpha| hold 6.0e-14, 1.1e-2 and 2.3e-2 in
+    # the top five levels of the expm column too
     ref = oracles.displacement_dense(alpha, dim)
     assert np.max(np.abs(fock.displacement_matrix(alpha, dim) - ref)) <= 1e-13
-    for n in (0, 1, dim // 4):
-        assert np.max(np.abs(fock.gcs_vector(n, alpha, dim).coeffs - ref[:, n])) <= 1e-13
+    for n in (0, 1, dim // 8, dim // 4):
+        if np.sum(np.abs(ref[-5:, n]) ** 2) > fock.TOP_MASS:
+            with pytest.raises(fock.TruncationError, match=f"column n={n} hold"):
+                fock.gcs_vector(n, alpha, dim)
+        else:
+            assert np.max(np.abs(fock.gcs_vector(n, alpha, dim).coeffs - ref[:, n])) <= 1e-13
 
 
 def test_gcs_vector_one_eigensolve_per_dim(monkeypatch):
@@ -83,24 +90,27 @@ def test_gcs_vector_one_eigensolve_per_dim(monkeypatch):
     assert fock.gcs_vector(2, 1.5, 40).dim == 40
     assert dims == [40]
     dims.clear()
-    # (20, 6) starts at min_dim + 24 = 147, whose top five levels hold
-    # 4.5e-13, and grows once by 1.25x
-    assert fock.gcs_vector(20, 6.0).dim == 184
-    assert dims == [147, 184]
+    # (20, 6) starts at ceil(110.8 + 42 + 2 sqrt 20 + 12) = 174, which holds
+    assert fock.gcs_vector(20, 6.0).dim == 174
+    assert dims == [174]
 
 
-def test_gcs_vector_grows_until_the_top_levels_are_empty():
+def test_gcs_vector_grows_until_the_top_levels_are_empty(monkeypatch):
+    # start_dim is never short, so start each column just above its edge:
     # the dims tried are start, ceil(1.25 start), ...; the last one is the
     # first whose top five levels hold <= 1e-14
-    for n, alpha, start in ((20, 6.0, 147), (50, 10.0, 295), (4, 0.5, 48)):
+    for n, alpha in ((20, 6.0), (50, 10.0), (4, 0.5)):
+        start = math.floor(fock._edge(alpha, n)) + 1
+        monkeypatch.setattr(fock, "start_dim", lambda alpha, n=0: start)
         tried = [start]
         vec = fock.gcs_vector(n, alpha)
         while tried[-1] < vec.dim:
             tried.append(math.ceil(1.25 * tried[-1]))
-        assert tried[-1] == vec.dim
+        assert tried[-1] == vec.dim > start
         assert vec.tail_mass(5) <= 1e-14
         for dim in tried[:-1]:
-            assert fock.gcs_vector(n, alpha, dim).tail_mass(5) > 1e-14
+            with pytest.raises(fock.TruncationError, match=f"at dim={dim},"):
+                fock.gcs_vector(n, alpha, dim)
 
 
 def test_displacement_small_dim_trips_tail_check():
@@ -112,10 +122,17 @@ def test_displacement_small_dim_trips_tail_check():
     (0.0, 12), (0.3, 24), (1.1 - 0.6j, 40), (3.0 * np.exp(2.5j), 97), (-5.0 + 4.0j, 180),
 ])
 def test_displacement_columns_are_gcs_vectors(alpha, dim):
+    # every column the rule accepts at this dim; it accepts a low block
     mat = fock.displacement_matrix(alpha, dim)
+    accepted = []
     for n in range(dim // 2):
-        if dim >= fock.min_dim(alpha, n):
-            assert np.max(np.abs(mat[:, n] - fock.gcs_vector(n, alpha, dim).coeffs)) <= 1e-15
+        try:
+            vec = fock.gcs_vector(n, alpha, dim)
+        except fock.TruncationError:
+            continue
+        accepted.append(n)
+        assert np.max(np.abs(mat[:, n] - vec.coeffs)) <= 1e-15
+    assert accepted == list(range(len(accepted))) and len(accepted) >= 6
 
 
 def _no_eigensolve(*args):
@@ -123,34 +140,38 @@ def _no_eigensolve(*args):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: fock.min_dim(1e200),
+    lambda: fock.start_dim(1e200),
     lambda: fock.displacement_matrix(1e200, 10),
     lambda: fock.displacement_matrix(200.0, fock.MAX_DIM + 1),
     lambda: fock.gcs_vector(0, 200.0),
     lambda: fock.gcs_vector(1, 1.0, fock.MAX_DIM + 1),
     lambda: fock.ladder_matrices(fock.MAX_DIM + 1),
-], ids=["min_dim", "displacement", "displacement-dim", "grown", "gcs-dim", "ladder"])
+], ids=["start_dim", "displacement", "displacement-dim", "grown", "gcs-dim", "ladder"])
 def test_dim_above_the_cap_raises_before_any_eigensolve(monkeypatch, call):
     monkeypatch.setattr(fock, "dstevd", _no_eigensolve)
     with pytest.raises(fock.TruncationError, match=f"above MAX_DIM={fock.MAX_DIM}"):
         call()
 
 
-def test_min_dim_names_the_needed_dim():
-    # 200^2 + 6 * 200 + 10 + 2 = 41212
-    with pytest.raises(fock.TruncationError, match="needs dim > 41212,"):
-        fock.min_dim(200.0, 1)
-    # 87^2 + 6 * 87 + 10 = 8101 is under the cap, 88^2 + 6 * 88 + 10 = 8282 is not
-    assert fock.min_dim(87.0) == 8102
-    with pytest.raises(fock.TruncationError, match="needs dim > 8282,"):
-        fock.min_dim(88.0)
+def test_start_dim_names_the_needed_dim():
+    # (200 + sqrt 1.5)^2 = 40491.4 is the edge of level 1
+    with pytest.raises(fock.TruncationError, match="classical edge 40491.4 is above"):
+        fock.start_dim(200.0, 1)
+    # ceil((80 + sqrt 0.5)^2 + 560 + 12) = 7086 is under the cap; at 89 the
+    # edge 8047.4 is too, but the start 8683 is not
+    assert fock.start_dim(80.0) == 7086
+    with pytest.raises(fock.TruncationError, match="starts at dim 8683, above MAX_DIM"):
+        fock.start_dim(89.0)
+    # a given dim below that edge is refused before any eigensolve
+    with pytest.raises(fock.TruncationError, match="not above the classical edge 8047.37"):
+        fock.displacement_matrix(89.0, 8000)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(1.0, np.nan), -np.inf])
 def test_non_finite_alpha_is_a_value_error(monkeypatch, alpha):
     monkeypatch.setattr(fock, "dstevd", _no_eigensolve)
     with pytest.raises(ValueError, match="alpha must be finite"):
-        fock.min_dim(alpha)
+        fock.start_dim(alpha)
     with pytest.raises(ValueError, match="alpha must be finite"):
         fock.displacement_matrix(alpha, 20)
     with pytest.raises(ValueError, match="alpha must be finite"):
@@ -158,8 +179,9 @@ def test_non_finite_alpha_is_a_value_error(monkeypatch, alpha):
 
 
 def test_growth_stops_at_the_cap(monkeypatch):
-    # (20, 6) starts at 147 and needs 184; under a cap of 150 it stops after
-    # the one eigensolve at 147 and names the dim it would need next
+    # started at 147, (20, 6) keeps 4.5e-13 in its top five levels and needs
+    # 184; under a cap of 150 it stops after the one eigensolve at 147 and
+    # names the dim it would need next
     dims = []
     real = fock.dstevd
 
@@ -168,25 +190,70 @@ def test_growth_stops_at_the_cap(monkeypatch):
         return real(d, e, *args)
 
     monkeypatch.setattr(fock, "dstevd", counted)
+    monkeypatch.setattr(fock, "start_dim", lambda alpha, n=0: 147)
     monkeypatch.setattr(fock, "MAX_DIM", 150)
     with pytest.raises(fock.TruncationError, match="next dim 184 is above MAX_DIM=150"):
         fock.gcs_vector(20, 6.0)
     assert dims == [147]
 
 
-def test_min_dim_is_sufficient():
-    for alpha in (0.5, 1.0, 2.0, 3.0):
-        for n in (0, 2, 5):
-            dim = fock.min_dim(alpha, n)
-            vec = fock.gcs_vector(n, alpha, dim)  # guard passes at min_dim
-            assert vec.tail_mass() < 1e-9
-            with pytest.raises(fock.TruncationError):
-                fock.gcs_vector(n, alpha, dim - 1)
+def test_start_dim_is_sufficient(monkeypatch):
+    # every grown column takes the one eigensolve at start_dim and agrees
+    # with the closed form to 1e-7 (to 1.9e-8 on a wider grid, e < 650)
+    dims = []
+    real = fock.dstevd
+
+    def counted(d, e, *args):
+        dims.append(d.shape[0])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(fock, "dstevd", counted)
+    for n in (0, 1, 3, 8, 20, 50):
+        for mag in (0.05, 0.5, 1.5, 3.0, 6.0, 9.0, 12.0):
+            alpha = mag * np.exp(0.7j)
+            start = fock.start_dim(alpha, n)
+            if start > 300:
+                continue
+            dims.clear()
+            vec = fock.gcs_vector(n, alpha)
+            assert dims == [start] == [vec.dim], (n, mag)
+            ref = states.number_expansion(n, alpha, vec.dim - 1)
+            assert np.max(np.abs(vec.coeffs - ref)) <= 1e-7, (n, mag)
+
+
+def test_revival_below_the_classical_edge_raises():
+    # at n = 0, |alpha| = 12 (edge 161.47) the truncated operator nearly
+    # revives: at dims 33 and 40 the expm column is mostly |0>, and its top
+    # five levels hold 8.0e-15 and 4.9e-21, so a guard on mass alone would
+    # return it
+    for dim in (33, 40):
+        col = oracles.displacement_dense(12.0, dim)[:, 0]
+        assert abs(col[0]) > 0.75 and np.sum(np.abs(col[-5:]) ** 2) <= fock.TOP_MASS
+    for dim in range(30, 41):
+        with pytest.raises(fock.TruncationError, match="not above the classical edge 161.471 "):
+            fock.gcs_vector(0, 12.0, dim)
+
+
+@pytest.mark.parametrize("n,alpha,dim,match", [
+    (50, 12.93, 355, "not above the classical edge 401.4"),  # column error 0.11
+    (20, 8.0, 163, "hold 2.106e-02"),
+    (5, 3.0, 48, "hold 3.978e-08"),  # column error 3e-6
+])
+def test_columns_a_heuristic_dim_accepted_raise(n, alpha, dim, match):
+    with pytest.raises(fock.TruncationError, match=match):
+        fock.gcs_vector(n, alpha, dim)
+
+
+@pytest.mark.parametrize("n", [0, 3, 17])
+def test_undisplaced_level_needs_five_empty_levels_above_it(n):
+    with pytest.raises(fock.TruncationError, match="hold 1.000e"):
+        fock.gcs_vector(n, 0.0, n + 5)
+    vec = fock.gcs_vector(n, 0.0, n + 6)
+    assert vec.coeffs.tobytes() == np.eye(n + 6, dtype=complex)[n].tobytes()
 
 
 def test_non_integer_dim_is_a_value_error():
-    # min_dim(1.0) = 18 and min_dim(1.0, 1) = 20: dims just above the
-    # formula's value reach ladder_matrices, which rejects them
+    # alpha = 1 is finite, so these reach the dim check, which rejects them
     for dim in (17.5, 30.5, 5.5):
         with pytest.raises(ValueError, match="dim must be an integer"):
             fock.displacement_matrix(1.0, dim)
@@ -215,9 +282,9 @@ def test_gcs_vector_normalized(n, alpha):
 
 def test_gcs_vector_rejects_cramped_dim():
     with pytest.raises(fock.TruncationError):
-        fock.gcs_vector(6, 1.0, 11)  # n >= dim/2
+        fock.gcs_vector(6, 1.0, 11)  # below the classical edge 12.6
     with pytest.raises(fock.TruncationError):
-        fock.gcs_vector(0, 5.0, 20)  # displaced mass escapes
+        fock.gcs_vector(0, 5.0, 20)  # below the classical edge 32.6
 
 
 def test_expectation_number_state():

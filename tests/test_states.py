@@ -348,11 +348,11 @@ def test_one_amplitude_routine_behind_probabilities_and_coefficients(n, mag, pha
     phase=st.floats(-math.pi, math.pi),
 )
 def test_number_expansion_matches_the_fock_oracle_or_raises(n, mag, phase):
-    # the Fock oracle grows its own dim until its top five levels hold
-    # <= 1e-14, so above min_dim's stated range it is still a reference.
-    # That bounds their mass, not their error: truncation shifts the top
-    # amplitudes by up to ~1e-8 (4.9e-9 at n = 50, |alpha| = 12.93, dim
-    # 474), so the reference is the column one growth step further, whose
+    # the Fock oracle picks a dim whose top five levels hold <= 1e-14, so
+    # it is a reference over the whole sweep.  That bounds their mass, not
+    # their error: truncation shifts the top amplitudes by up to ~1e-8
+    # (1.9e-8 at the first accepted dims of a grid up to the classical edge
+    # 650), so the reference is the column one growth step further, whose
     # top levels are empty.  The closed form agrees with it to 1e-12 or raises.
     alpha = cmath.rect(mag, phase)
     dim = math.ceil(1.25 * fock.gcs_vector(n, alpha).dim)
