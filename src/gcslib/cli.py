@@ -133,9 +133,14 @@ def _write_table(path, header, blocks):
 
 
 def _write_json(path, payload):
+    """Write payload as indented, key-sorted JSON and a newline; return the
+    JSON text, so a caller that also prints it encodes it once (with indent
+    set, json.dumps runs the pure-Python encoder)."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(text)
         fh.write("\n")
+    return text
 
 
 def _complex_pair(z):
@@ -412,8 +417,9 @@ def _run(command, args):
     os.makedirs(out, exist_ok=True)
     for name, (header, blocks) in (result.tables or {}).items():
         _write_table(os.path.join(out, name), header, blocks)
+    report = None
     if result.report is not None:
-        _write_json(os.path.join(out, f"{command.name}.json"), result.report)
+        report = _write_json(os.path.join(out, f"{command.name}.json"), result.report)
     _write_json(os.path.join(out, "manifest.json"), {
         "command": command.name,
         "parameters": result.parameters,
@@ -424,8 +430,8 @@ def _run(command, args):
         "tolerances": result.tolerances or {},
         **({"margins": result.margins} if result.margins else {}),
     })
-    if result.report is not None:
-        print(json.dumps(result.report, indent=2, sort_keys=True))
+    if report is not None:
+        print(report)
     return 0
 
 

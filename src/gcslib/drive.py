@@ -12,6 +12,9 @@ the verify suite.
 
 Pulses are stored as tuples of smooth pieces so that no Chebyshev series
 ever spans a jump or kink.
+
+SciPy's DCT is imported inside the two helpers that take it, so the commands
+that import drive without sweeping a pulse do not load scipy.fft.
 """
 
 import math
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct
 
 from . import fock
 from .states import GcsLabel
@@ -165,6 +167,8 @@ def _chebyshev_coefficients(values):
     # samples at x_j = cos(pi j / n), j = 0..n, along the last axis -> the
     # Chebyshev coefficients of their interpolant: one DCT-I, which is an FFT
     # of the mirrored samples
+    from scipy.fft import dct
+
     n = values.shape[-1] - 1
     c = dct(values, type=1, axis=-1) / n
     c[..., [0, n]] /= 2
@@ -193,6 +197,8 @@ def _values_at_nodes(c):
     # a series of degree n + 1 at the n + 1 points x_j = cos(pi j / n): there
     # T_{n+1}(x_j) = T_{n-1}(x_j), so fold the top coefficient down and invert
     # the DCT-I
+    from scipy.fft import dct
+
     n = c.shape[-1] - 2
     folded = c[..., :n + 1].copy()
     folded[..., n - 1] += c[..., n + 1]

@@ -17,13 +17,17 @@ states.py, so it deliberately shares no code with them.  Matrices are plain
 complex ndarrays in the number basis at t = 0; callers fold Schrodinger
 phases into their complex labels.  Truncation corrupts the top of the basis,
 so one rule, in _displaced_columns, decides every dim.
+
+SciPy is bound here only on first use: the module attribute dstevd comes from
+a module __getattr__ (PEP 562), so importing fock, and every gcs command that
+never eigensolves, leaves scipy unloaded.  _tridiagonal_eigh reads dstevd
+through the module, so replacing fock.dstevd still reaches every eigensolve.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd
 
 
 class TruncationError(Exception):
@@ -83,9 +87,21 @@ def ladder_matrices(dim):
     return a, adag, np.diag(np.arange(dim, dtype=complex))
 
 
+def __getattr__(name):
+    # fock.dstevd, bound on first read; scipy.linalg takes about as long to
+    # import as numpy, and most commands never need it
+    if name != "dstevd":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg.lapack import dstevd
+
+    globals()["dstevd"] = dstevd
+    return dstevd
+
+
 def _tridiagonal_eigh(diag, off):
     # eigenvalues and eigenvectors of the real symmetric tridiagonal matrix
     # with these bands: the one LAPACK dstevd call, and its one check
+    dstevd = globals().get("dstevd") or __getattr__("dstevd")
     evals, evecs, info = dstevd(diag, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info={info} at dim={diag.size}")

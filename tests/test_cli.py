@@ -260,6 +260,35 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_only_eigensolving_commands_load_scipy(tmp_path):
+    # density, wavefunction, field-density, photon-dist and beamsplit need no
+    # scipy; expect binds fock.dstevd on its first eigensolve, which loads
+    # scipy.linalg and not scipy.fft
+    free = ["density", "wavefunction", "field-density", "photon-dist", "beamsplit"]
+    runs = [[c, *SMALL_RUNS[c], "--out", str(tmp_path / c)] for c in [*free, "expect"]]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from gcslib import cli, fock\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"runs = {runs!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs[:-1]]\n"
+        "    free = loaded()\n"
+        "    codes.append(cli.main(runs[-1]))\n"
+        "seen = {'codes': codes, 'free': free, 'linalg': 'scipy.linalg' in sys.modules,\n"
+        "        'fft': 'scipy.fft' in sys.modules}\n"
+        "import scipy.linalg.lapack\n"
+        "seen['bound'] = fock.dstevd is scipy.linalg.lapack.dstevd\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"codes": [0] * 6, "free": [], "linalg": True, "fft": False, "bound": True}
+
+
 def test_amplitude_overflow_prints_only_the_error(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -469,6 +498,9 @@ def test_outputs_are_deterministic(tmp_path, capsys):
             assert cli.main([command, *argv, "--out", str(out)]) == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1], command
+        if command in ("expect", "beamsplit", "drive"):
+            # stdout is the report, byte for byte as <command>.json holds it
+            assert printed[0].encode() == (a / f"{command}.json").read_bytes(), command
         names = sorted(p.name for p in a.iterdir())
         assert "manifest.json" in names
         assert names == sorted(p.name for p in b.iterdir())
